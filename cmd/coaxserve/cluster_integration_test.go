@@ -425,7 +425,7 @@ func TestClusterNodeSnapshotIn(t *testing.T) {
 func TestRouterModeHTTP(t *testing.T) {
 	tab := coax.GenerateOSM(coax.DefaultOSMConfig(6000))
 	const gshards, rf = 8, 2
-	bc, err := startBenchCluster(tab, gshards, 2, rf, 2)
+	bc, err := startLocalCluster(tab, gshards, 2, rf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,4 +503,78 @@ func TestRouterModeHTTP(t *testing.T) {
 	if r := postJSON(t, srv.URL+"/query", rectToRequest(gen.KNNRects(1, 50)[0]), nil); r.StatusCode != 200 {
 		t.Fatalf("after drain lifted: status %d", r.StatusCode)
 	}
+}
+
+// localCluster is an in-process cluster: n nodes on loopback listeners.
+type localCluster struct {
+	nodes []*cluster.Node
+	addrs []string
+}
+
+func (lc *localCluster) close() {
+	for _, n := range lc.nodes {
+		n.Close()
+	}
+}
+
+// startLocalCluster builds and serves an n-node cluster over tab: each
+// node materializes exactly the global shards consistent hashing assigns
+// it, identical to what n separate processes would build.
+func startLocalCluster(tab *coax.Table, shards, n, rf, localShards int) (*localCluster, error) {
+	lc := &localCluster{}
+	lns := make([]net.Listener, n)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			lc.close()
+			return nil, err
+		}
+		lns[i] = ln
+		lc.addrs = append(lc.addrs, ln.Addr().String())
+	}
+	ring, err := cluster.NewRing(lc.addrs, 0)
+	if err != nil {
+		lc.close()
+		return nil, err
+	}
+	so := coax.DefaultShardOptions()
+	so.NumShards = localShards
+	for i, addr := range lc.addrs {
+		hosted := ring.HostedShards(addr, shards, rf)
+		engines, err := cluster.BuildShards(tab, hosted, shards, coax.DefaultOptions(), so)
+		if err != nil {
+			lc.close()
+			return nil, err
+		}
+		node, err := cluster.NewNode(engines, shards)
+		if err != nil {
+			lc.close()
+			return nil, err
+		}
+		lc.nodes = append(lc.nodes, node)
+		go node.Serve(lns[i])
+	}
+	return lc, nil
+}
+
+// rectToRequest converts a workload rectangle into its wire form, counting
+// only (limit 0) so a check compares counts, not row transfer.
+func rectToRequest(r index.Rect) rectRequest {
+	lim := 0
+	req := rectRequest{
+		Limit: &lim,
+		Min:   make([]*float64, len(r.Min)),
+		Max:   make([]*float64, len(r.Max)),
+	}
+	for i := range r.Min {
+		if !math.IsInf(r.Min[i], -1) {
+			v := r.Min[i]
+			req.Min[i] = &v
+		}
+		if !math.IsInf(r.Max[i], 1) {
+			v := r.Max[i]
+			req.Max[i] = &v
+		}
+	}
+	return req
 }

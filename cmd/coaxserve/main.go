@@ -1,5 +1,5 @@
-// Command coaxserve serves a sharded COAX index over HTTP/JSON and
-// benchmarks the sharded engine under load.
+// Command coaxserve serves a sharded COAX index over HTTP/JSON, on one
+// process or as a cluster of nodes behind a router.
 //
 // Usage:
 //
@@ -8,13 +8,9 @@
 //	coaxserve serve -in osm.v3 -addr :8080      # v3 snapshots serve memory-mapped
 //	coaxserve serve -in osm-sharded.coax -debug-addr :6060 -slowlog-threshold 50ms -access-log
 //	coaxserve serve -in osm-sharded.coax -cache-size 8192 -max-inflight 64 -queue-timeout 100ms
-//	coaxserve bench -rows 500000 -shards 1,2,4,8 -batch 1,16,64 -json BENCH_serve.json -metrics-check
-//	coaxserve mutbench -rows 200000 -shards 4 -json BENCH_mutation.json
-//	coaxserve aggbench -rows 200000 -selectivities 0.01,0.1,0.5 -json BENCH_agg.json
 //	coaxserve node -addr 127.0.0.1:7401 -peers 127.0.0.1:7401,127.0.0.1:7402 -shards 16 -replication 2
 //	coaxserve node -addr 127.0.0.1:7401 -peers ... -in osm.v3   # every node builds from one snapshot
 //	coaxserve router -addr :8080 -nodes 127.0.0.1:7401,127.0.0.1:7402 -shards 16 -replication 2
-//	coaxserve clusterbench -rows 100000 -nodes 1,2,3 -straggler 30ms -json BENCH_cluster.json
 //
 // The serve mode loads a sharded snapshot (or builds one over a synthetic
 // dataset at startup) and answers:
@@ -74,32 +70,16 @@
 // to stderr. Shutdown is graceful: SIGINT/SIGTERM stop the listener and
 // drain in-flight requests for up to -drain-timeout.
 //
-// The bench mode generates a rectangle workload, measures a serial
-// single-shard baseline, then sweeps shard count × batch size through
-// BatchQuery, reporting QPS and p50/p99 latency (see BENCH_serve.json). It
-// also measures the observability overhead (instrumented vs kill-switched
-// p50, the report's "obs" section) and, with -metrics-check, serves the
-// workload through an in-process HTTP server and fails unless
-// coax_queries_total advanced by exactly the request count
-// (-metrics-dump archives the final scrape).
-// The mutbench mode measures query QPS/p99 before a drift-inducing write
-// workload, during the online rebuild it triggers, and after the epoch
-// swap (see BENCH_mutation.json).
-//
-// The aggbench mode measures the aggregation pushdown (POST /query with
-// "agg", Query.Aggregate in the library) against the Collect-then-fold
-// idiom it replaces: COUNT and SUM across a selectivity sweep, a GROUP BY
-// on the airline carrier column, and a sharded repeat, failing unless both
-// paths agree on every answer (see BENCH_agg.json).
-//
 // The node and router modes deploy the engine as a cluster
 // (internal/cluster): each node process hosts the global shards consistent
 // hashing assigns it behind the binary wire protocol, and the router
 // scatter-gathers queries across nodes — with hedged replica reads, circuit
 // breaking, and failover — while serving the same HTTP/JSON API as serve
 // mode, including its result cache, request coalescing, and admission
-// control. The clusterbench mode sweeps node count and measures what
-// hedging buys under an injected straggler (see BENCH_cluster.json).
+// control.
+//
+// The repository's benchmark, perfbench/ (see perfbench/README.md), drives
+// these same serve, node and router processes end to end.
 package main
 
 import (
@@ -116,18 +96,10 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
-	case "mutbench":
-		err = cmdMutBench(os.Args[2:])
-	case "aggbench":
-		err = cmdAggBench(os.Args[2:])
 	case "node":
 		err = cmdNode(os.Args[2:])
 	case "router":
 		err = cmdRouter(os.Args[2:])
-	case "clusterbench":
-		err = cmdClusterBench(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -147,15 +119,10 @@ func usage() {
 
 subcommands:
   serve        answer HTTP/JSON queries and mutations from a sharded index
-  bench        measure QPS and latency vs. shard count and batch size
-  mutbench     measure query latency before/during/after an online rebuild
-  aggbench     measure aggregation pushdown vs. Collect-then-fold
   node         host this process's consistent-hash share of a cluster's
                shards behind the binary wire protocol
   router       serve the HTTP/JSON API by scatter-gathering across cluster
                nodes, with hedged replica reads and failover
-  clusterbench measure cluster QPS vs. node count and hedged-read p99
-               under an injected straggler
 
 run 'coaxserve <subcommand> -h' for flags`)
 }

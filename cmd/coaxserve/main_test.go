@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"testing"
 
 	"github.com/coax-index/coax/coax"
@@ -230,58 +229,6 @@ func TestOpenIndexServesV3Snapshot(t *testing.T) {
 		if v := snapshotVersionOf(path); v != coax.SnapshotVersionV3 {
 			t.Errorf("compress=%v: snapshotVersionOf = %d, want %d", compress, v, coax.SnapshotVersionV3)
 		}
-	}
-}
-
-func TestBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench smoke is not short")
-	}
-	dir := t.TempDir()
-	out := dir + "/BENCH_serve.json"
-	prom := dir + "/metrics.prom"
-	err := cmdBench([]string{
-		"-rows", "20000", "-queries", "60", "-knn", "50",
-		"-shards", "1,2", "-batch", "1,8", "-json", out,
-		"-metrics-check", "-metrics-dump", prom,
-	})
-	if err != nil {
-		t.Fatalf("cmdBench: %v", err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serveReport
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.Serial.QPS <= 0 || len(rep.Runs) != 4 {
-		t.Errorf("report shape: serial qps %v, %d runs", rep.Serial.QPS, len(rep.Runs))
-	}
-	for _, run := range rep.Runs {
-		if run.RowsMatched != rep.Serial.RowsMatched {
-			t.Errorf("run %+v matched %d rows, serial %d", run, run.RowsMatched, rep.Serial.RowsMatched)
-		}
-	}
-	if rep.Obs == nil || rep.Obs.EnabledP50us <= 0 || rep.Obs.DisabledP50us <= 0 {
-		t.Errorf("obs overhead section missing or empty: %+v", rep.Obs)
-	}
-	if rep.HotKey == nil {
-		t.Fatal("hotkey section missing")
-	}
-	if rep.HotKey.CachedQPS <= 0 || rep.HotKey.UncachedQPS <= 0 || rep.HotKey.Requests <= 0 {
-		t.Errorf("hotkey section empty: %+v", *rep.HotKey)
-	}
-	if rep.HotKey.HitRate <= 0.5 {
-		t.Errorf("hot-key hit rate %.2f — the zipfian pool should hit far more than half", rep.HotKey.HitRate)
-	}
-	dump, err := os.ReadFile(prom)
-	if err != nil {
-		t.Fatalf("-metrics-dump wrote nothing: %v", err)
-	}
-	if !bytes.Contains(dump, []byte("# TYPE coax_queries_total counter")) {
-		t.Error("metrics dump has no coax_queries_total family")
 	}
 }
 

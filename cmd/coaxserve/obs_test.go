@@ -73,13 +73,15 @@ func TestMetricsExposition(t *testing.T) {
 	}
 
 	// Every plane's families are present: query, mutation, lifecycle,
-	// build, and HTTP.
+	// build, HTTP, and the serving tier's cache, coalescing and admission.
 	for _, fam := range []string{
 		"coax_queries_total", "coax_query_seconds", "coax_shard_scan_seconds",
 		"coax_scan_pages_total", "coax_inserts_total", "coax_compactions_total",
 		"coax_rebuilds_total", "coax_builds_total", "coax_build_phase_seconds",
 		"coax_http_requests_total", "coax_http_request_seconds",
+		"coax_http_response_errors_total",
 		"coax_live_rows", "coax_outlier_ratio", "coax_tombstone_ratio",
+		"coax_cache_hits_total", "coax_coalesced_requests_total", "coax_admission_shed_total",
 	} {
 		if c := strings.Count(body, "# HELP "+fam+" "); c != 1 {
 			t.Errorf("family %s: %d HELP lines, want 1", fam, c)

@@ -1,7 +1,11 @@
 package coax_test
 
 import (
+	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/coax-index/coax/coax"
 )
@@ -11,8 +15,7 @@ import (
 // must still find every correlation group, and the outlier ratio — the
 // fraction of rows the weaker sampled models push into the slow path —
 // must stay within a small absolute and relative band of the full-scan
-// build (measured headroom ≈ 2× the observed drift; see BENCH_build.json
-// for the tracked values).
+// build (measured headroom ≈ 2× the observed drift).
 func TestSampledFDDegradationBounded(t *testing.T) {
 	const (
 		rows      = 60000
@@ -71,4 +74,107 @@ func TestSampledFDDegradationBounded(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamingBuildPeaksBelowInMemory is the streaming build's memory
+// guard: at 1% and 10% sample rates, a SampleSize build over a 200k-row
+// OSM source must grow the Go heap less at its peak than the in-memory
+// build, and answer every query with the same count. At this size the
+// streaming peaks are about 1.3–1.5× the raw data against about 4× for
+// the in-memory build.
+func TestStreamingBuildPeaksBelowInMemory(t *testing.T) {
+	const rows = 200000
+	cfg := coax.DefaultOSMConfig(rows)
+	rng := rand.New(rand.NewSource(77))
+	tab := coax.GenerateOSM(cfg)
+	rects := make([]coax.Rect, 100)
+	for i := range rects {
+		rects[i] = randRect(rng, tab)
+	}
+	tab = nil
+
+	build := func(sample int) (*coax.Index, uint64) {
+		t.Helper()
+		src := coax.NewOSMSource(cfg, coax.DefaultChunkRows)
+		b := coax.NewBuilder(coax.ColumnsSchema(src.Columns()), coax.DefaultOptions())
+		if sample > 0 {
+			b.SampleSize(sample)
+		}
+		w := watchHeap()
+		idx, err := b.Build(src)
+		peak := w.stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx, peak
+	}
+
+	exact, exactPeak := build(0)
+	want := make([]int, len(rects))
+	for i, r := range rects {
+		want[i] = coax.Count(exact, r)
+	}
+	for _, rate := range []float64{0.01, 0.10} {
+		idx, peak := build(int(rows * rate))
+		if peak >= exactPeak {
+			t.Errorf("sample %g: streaming build peaked at +%d heap bytes, in-memory build at +%d",
+				rate, peak, exactPeak)
+		}
+		for i, r := range rects {
+			if got := coax.Count(idx, r); got != want[i] {
+				t.Errorf("sample %g, query %d: streaming build counts %d, in-memory build %d",
+					rate, i, got, want[i])
+			}
+		}
+	}
+}
+
+// heapWatch samples HeapAlloc while a build runs, so a test sees the peak
+// the build reached, not just where it ended.
+type heapWatch struct {
+	base, peak uint64
+	mu         sync.Mutex
+	stopCh     chan struct{}
+	done       chan struct{}
+}
+
+// watchHeap garbage-collects, records the baseline heap, and samples
+// HeapAlloc every millisecond until stop.
+func watchHeap() *heapWatch {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	w := &heapWatch{base: ms.HeapAlloc, peak: ms.HeapAlloc, stopCh: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(w.done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-w.stopCh:
+				return
+			case <-tick.C:
+				w.sample()
+			}
+		}
+	}()
+	return w
+}
+
+func (w *heapWatch) sample() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	w.mu.Lock()
+	w.peak = max(w.peak, ms.HeapAlloc)
+	w.mu.Unlock()
+}
+
+// stop ends sampling and returns the peak heap growth over the baseline.
+func (w *heapWatch) stop() uint64 {
+	w.sample()
+	close(w.stopCh)
+	<-w.done
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.peak - w.base
 }

@@ -504,6 +504,84 @@ func TestClusterHedging(t *testing.T) {
 	tc.nodes[tc.addrs[0]].SetDelay(0)
 }
 
+// A hedge sent to a dead replica must not fail a shard whose primary
+// attempt is still outstanding on a live node. The live node holds every
+// request until the router's hedge to the dead node has failed, then
+// answers; the query must return the oracle's rows.
+func TestClusterHedgeToDeadReplica(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tc := startCluster(t, testTable(rng, 3000), 8, 2, 2, WithHedgeDelay(time.Millisecond))
+	rt := tc.router
+	// The live node must lead a shard, so that its primary attempt is
+	// hedged; placement hashes the nodes' ports and varies between runs.
+	live, dead := rt.replicas[0][0], rt.replicas[0][1]
+	r := workload.RandRect(rng, tc.table)
+	want := collectOracle(tc.oracle, r, index.Spec{})
+
+	// Attempts the query sends to the dead node: one for the shards it
+	// leads, if any, plus the hedge of the live node's primary attempt.
+	deadAttempts := 1
+	for g := 0; g < rt.shards; g++ {
+		if rt.replicas[g][0] == dead {
+			deadAttempts++
+			break
+		}
+	}
+	deadBreaker := rt.clients[dead].breaker
+	deadBreaker.mu.Lock()
+	fails0 := deadBreaker.fails
+	deadBreaker.mu.Unlock()
+
+	tc.nodes[dead].Close()
+	tc.nodes[live].SetDelay(time.Hour)
+	defer tc.nodes[live].SetDelay(0)
+
+	type result struct {
+		rows     [][]float64
+		complete bool
+		err      error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var res result
+		res.complete, res.err = rt.Exec(r, index.Spec{}, func(row []float64) bool {
+			res.rows = append(res.rows, append([]float64(nil), row...))
+			return true
+		})
+		done <- res
+	}()
+
+	// Release the live node only once every attempt to the dead node,
+	// the hedge included, has failed.
+	deadline := time.After(10 * time.Second)
+	for {
+		deadBreaker.mu.Lock()
+		failed := deadBreaker.fails - fails0
+		deadBreaker.mu.Unlock()
+		if failed >= deadAttempts {
+			break
+		}
+		select {
+		case res := <-done:
+			t.Fatalf("query returned before the hedge failed: complete=%v err=%v", res.complete, res.err)
+		case <-deadline:
+			t.Fatalf("%d of %d attempts to the dead node failed within 10s", failed, deadAttempts)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	tc.nodes[live].SetDelay(0)
+
+	res := <-done
+	if res.err != nil || !res.complete {
+		t.Fatalf("query after a failed hedge: complete=%v err=%v", res.complete, res.err)
+	}
+	sortRows(res.rows)
+	sortRows(want)
+	if !rowsEqual(res.rows, want) {
+		t.Fatalf("query after a failed hedge: %d rows, oracle %d", len(res.rows), len(want))
+	}
+}
+
 // Stats must count every logical row exactly once despite replication.
 func TestClusterStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))

@@ -37,10 +37,10 @@ type Node struct {
 	// serving tier; rejected requests answer an Overloaded error frame.
 	adm *serve.Admission
 
-	// delay is an injected per-request straggler latency (clusterbench's
-	// slow-replica knob); draining, when > 0, rejects every request with
-	// an Overloaded error carrying that many milliseconds of Retry-After
-	// (a deterministic overload for tests and rolling restarts).
+	// delay is an injected per-request straggler latency (the slow-replica
+	// knob of the hedging tests); draining, when > 0, rejects every request
+	// with an Overloaded error carrying that many milliseconds of
+	// Retry-After (a deterministic overload for tests and rolling restarts).
 	delay    atomic.Int64
 	draining atomic.Int64
 
@@ -93,7 +93,8 @@ func NewNode(shards map[int]*shard.Sharded, globalShards int, opts ...NodeOption
 }
 
 // SetDelay injects an artificial latency before every request — the
-// straggler knob clusterbench uses to demonstrate hedged reads.
+// straggler knob behind coaxserve node -straggler and the hedged-read
+// tests. Lowering it also shortens the wait of requests already delayed.
 func (n *Node) SetDelay(d time.Duration) { n.delay.Store(int64(d)) }
 
 // SetDraining makes the node reject every request with an Overloaded
@@ -291,15 +292,13 @@ func requestID(m wire.Message) (uint64, bool) {
 }
 
 // sleepDelay applies the injected straggler latency, waking early if the
-// request is cancelled meanwhile.
+// request is cancelled meanwhile or the delay is lowered: SetDelay(0)
+// releases every request already waiting.
 func (n *Node) sleepDelay(stop *atomic.Bool) {
-	d := time.Duration(n.delay.Load())
-	if d <= 0 {
-		return
-	}
 	const step = time.Millisecond
-	for waited := time.Duration(0); waited < d; waited += step {
-		if stop.Load() {
+	for waited := time.Duration(0); ; waited += step {
+		d := time.Duration(n.delay.Load())
+		if waited >= d || stop.Load() {
 			return
 		}
 		time.Sleep(min(step, d-waited))

@@ -436,8 +436,21 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 		finishShard(st)
 	}
 
+	// inFlight reports whether an outstanding attempt still carries shard
+	// g, so its answer may yet arrive.
+	inFlight := func(g int) bool {
+		for _, att := range attempts {
+			if att.shards[g] {
+				return true
+			}
+		}
+		return false
+	}
+
 	// retry re-plans a set of undelivered shards onto their next replicas
-	// (failover); shards with no replicas left fail.
+	// (failover). A shard fails only when no replica is left to try and no
+	// other attempt carrying it is still outstanding: a failed hedge must
+	// not fail a shard whose primary may still answer.
 	retry := func(shards []int, cause error) {
 		var live []int
 		for _, g := range shards {
@@ -446,7 +459,9 @@ func (rt *Router) scatter(r index.Rect, spec *index.Spec, agg bool, aspec index.
 				continue
 			}
 			if st.next >= len(rt.replicas[g]) {
-				failShard(g, st, cause)
+				if !inFlight(g) {
+					failShard(g, st, cause)
+				}
 				continue
 			}
 			live = append(live, g)

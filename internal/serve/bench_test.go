@@ -1,7 +1,7 @@
 package serve
 
-// Microbenchmarks for the serving-tier hot paths — the benchstat targets
-// the CI perf-regression gate watches. Each one isolates a single layer:
+// Microbenchmarks for the serving-tier hot paths (go test -bench). Each
+// one isolates a single layer:
 // key canonicalization, cache hit/miss/validation, single-flight overhead,
 // and the admission fast path.
 
