@@ -249,7 +249,6 @@ func (q *Query) observeAgg(start time.Time, crep *core.ProbeReport) {
 		obs.QueryCancelled.Inc()
 	}
 	core.ObserveProbe(crep)
-	core.ObserveAggKernels(crep)
 }
 
 // newAggResult extracts the public result from a folded state.

@@ -81,7 +81,7 @@ type ProbeStats struct {
 	// visitor boundary.
 	TombstonesFiltered int64 `json:"tombstones_filtered"`
 	// Batches is the number of selection-bitmap batches the partition's
-	// vectorized kernel processed; zero on the row-at-a-time path.
+	// scan kernel handed on, for row and aggregate queries alike.
 	Batches int64 `json:"batches,omitempty"`
 }
 
@@ -94,8 +94,8 @@ type AggExplain struct {
 	Column  string `json:"column,omitempty"`
 	GroupBy string `json:"group_by,omitempty"`
 	// PrimaryKernel/OutlierKernel name the scan kernel dispatched per
-	// partition ("grid-batch", "rtree-batch", "row-fallback", ...); empty
-	// when that partition was pruned.
+	// partition ("grid-batch", "rtree-batch", ...); empty when that
+	// partition was pruned.
 	PrimaryKernel string `json:"primary_kernel,omitempty"`
 	OutlierKernel string `json:"outlier_kernel,omitempty"`
 	// Batches is the total selection-bitmap batches processed;

@@ -2,18 +2,14 @@ package core
 
 import (
 	"github.com/coax-index/coax/internal/index"
-	"github.com/coax-index/coax/internal/obs"
 )
 
 // Aggregation pushdown: ExecAgg is Exec's sibling for queries that want an
-// aggregate instead of rows. It runs the same two-partition plan —
-// translate, probe the primary grid with the routed rectangle, probe the
-// outlier index with the original — but drives each partition through its
-// vectorized ScanBatch kernel when one exists, folding selection bitmaps
-// straight into an index.AggState: no row materialization, no visitor
-// callbacks. Probe counters accumulate exactly as on the row path (same
-// pages, rows scanned, matches, tombstones), so EXPLAIN output is stable
-// across the two paths.
+// aggregate instead of rows. It runs the same partition walk and folds
+// each partition's selection bitmaps straight into an index.AggState: no
+// row materialization, no visitor callbacks. The walk is shared, so the
+// probe counters (pages, rows scanned, matches, tombstones, batches) equal
+// Exec's for the same query.
 
 // ExecAgg answers r by folding every matching row into st. spec.Ctx and
 // spec.Abort cancel at page granularity exactly as in Exec (Limit and
@@ -22,112 +18,14 @@ import (
 // partition. It reports whether the scan ran to completion (false: it was
 // aborted, and st holds a partial fold).
 func (c *COAX) ExecAgg(r index.Rect, spec index.Spec, st *index.AggState, rep *ProbeReport) bool {
-	abort := spec.Abort
-	if spec.Ctx != nil {
-		ctx, prev := spec.Ctx, abort
-		abort = func() bool {
-			return (prev != nil && prev()) || ctx.Err() != nil
+	complete := c.walk(r, spec, st.FoldBatch, rep)
+	if rep != nil {
+		if rep.PrimaryProbed {
+			rep.PrimaryKernel = c.primary.BatchKernel()
 		}
-	}
-	if !c.aggPrimary(r, st, rep, abort) {
-		return false
-	}
-	if abort != nil && abort() {
-		return false
-	}
-	return c.aggOutliers(r, st, rep, abort)
-}
-
-// aggPrimary mirrors scanPrimary. The batch kernel cannot re-check rows
-// after the fact the way the row path's wrapper does, so it scans with the
-// intersection of the routed and original rectangles instead: routed
-// widens the dependent columns to ±∞ and tightens the predictors, so
-// routed ∩ original restores the dependent constraints while keeping the
-// tightened predictor intervals — membership in it is exactly "matched the
-// routed rectangle and the original". Grid routing and the sort-dimension
-// span only read grid and sort dimensions, which translation never
-// loosens, so the cells walked, spans scanned, and rows matched are
-// identical to the row path's.
-func (c *COAX) aggPrimary(r index.Rect, st *index.AggState, rep *ProbeReport, abort func() bool) bool {
-	pruned := c.primary == nil || r.Empty() || !r.Overlaps(c.primaryBounds)
-	if pruned && rep == nil {
-		return true
-	}
-	routed, feasible := c.translate(r, rep)
-	if pruned || !feasible {
-		return true
-	}
-	if rep != nil {
-		rep.PrimaryProbed = true
-	}
-	probe := partitionProbe(repPrimary(rep), rep != nil, abort)
-	complete := c.primary.ScanBatch(routed.Intersect(r), func(b *index.Batch) bool {
-		st.FoldBatch(b)
-		return true
-	}, probe)
-	if rep != nil {
-		rep.PrimaryKernel = c.primary.BatchKernel()
+		if rep.OutlierProbed {
+			rep.OutlierKernel = c.outliers.BatchKernel()
+		}
 	}
 	return complete
-}
-
-// aggOutliers mirrors scanOutliers, dispatching the outlier index's batch
-// kernel when it has one and falling back to a row-at-a-time fold
-// otherwise.
-func (c *COAX) aggOutliers(r index.Rect, st *index.AggState, rep *ProbeReport, abort func() bool) bool {
-	if c.outliers == nil || r.Empty() || !r.Overlaps(c.outlierBounds) {
-		return true
-	}
-	if rep != nil {
-		rep.OutlierProbed = true
-	}
-	probe := partitionProbe(repOutlier(rep), rep != nil, abort)
-	complete, kernel := scanBatchInto(c.outliers, r, st, probe)
-	if rep != nil {
-		rep.OutlierKernel = kernel
-	}
-	return complete
-}
-
-// scanBatchInto folds every row of idx inside r into st through the
-// index's batch kernel when it implements one, or the row path otherwise,
-// returning completion and the kernel name dispatched.
-func scanBatchInto(idx index.Interface, r index.Rect, st *index.AggState, probe *index.Probe) (complete bool, kernel string) {
-	if bs, ok := idx.(index.ScanBatcher); ok {
-		kernel = "batch"
-		if k, ok := idx.(index.Kernel); ok {
-			kernel = k.BatchKernel()
-		}
-		return bs.ScanBatch(r, func(b *index.Batch) bool {
-			st.FoldBatch(b)
-			return true
-		}, probe), kernel
-	}
-	return idx.Scan(r, func(row []float64) bool {
-		st.FoldRow(row)
-		return true
-	}, probe), "row-fallback"
-}
-
-// ObserveAggKernels folds one finished aggregation's kernel usage into the
-// batch-kernel metrics: a dispatch count per partition kernel and the
-// bitmap-selected row total for the partitions a batch kernel answered.
-// Callers gate on obs.On(); like ObserveProbe it is called once per
-// underlying ProbeReport by the layer owning the whole query.
-func ObserveAggKernels(rep *ProbeReport) {
-	if rep == nil {
-		return
-	}
-	if rep.PrimaryKernel != "" {
-		obs.KernelDispatch(rep.PrimaryKernel).Inc()
-		if rep.PrimaryKernel != "row-fallback" {
-			obs.BatchRowsSelected.Add(rep.Primary.Matched)
-		}
-	}
-	if rep.OutlierKernel != "" {
-		obs.KernelDispatch(rep.OutlierKernel).Inc()
-		if rep.OutlierKernel != "row-fallback" {
-			obs.BatchRowsSelected.Add(rep.Outlier.Matched)
-		}
-	}
 }

@@ -35,8 +35,8 @@ func foldRowPath(c *COAX, r index.Rect, spec index.AggSpec) (*index.AggState, *P
 // TestExecAggMatchesExec is the probe-parity regression test: on both
 // outlier-index kinds, across fresh/tombstoned/compacted states, ExecAgg
 // must produce bit-identical aggregates AND a ProbeReport identical to the
-// row path's — same pages, rows scanned, tombstones skipped, rows matched —
-// with Batches and the kernel names as the only batch-path additions.
+// row path's — same pages, rows scanned, tombstones skipped, rows matched,
+// batches — with the kernel names as the only aggregation-path addition.
 func TestExecAggMatchesExec(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tab := fdTable(rng, 20000, 0.12)
@@ -118,15 +118,14 @@ func sameAggState(t *testing.T, label string, spec index.AggSpec, got, want *ind
 	}
 }
 
-// sameReport compares the two execution reports field by field. Batches
-// and the kernel names exist only on the batch path; everything else —
-// translations, pruning flags, and every per-partition counter — must be
+// sameReport compares the two execution reports field by field. The
+// kernel names exist only on the aggregation path; everything else —
+// translations, pruning flags, and every per-partition counter, batches
+// included, since both paths run the same partition walk — must be
 // identical.
 func sameReport(t *testing.T, label string, got, want *ProbeReport) {
 	t.Helper()
 	g, w := *got, *want
-	g.Primary.Batches, g.Outlier.Batches = 0, 0
-	w.Primary.Batches, w.Outlier.Batches = 0, 0
 	g.PrimaryKernel, g.OutlierKernel = "", ""
 	w.PrimaryKernel, w.OutlierKernel = "", ""
 	if !reflect.DeepEqual(g.Translations, w.Translations) ||
@@ -136,7 +135,8 @@ func sameReport(t *testing.T, label string, got, want *ProbeReport) {
 	}
 	sameCounters := func(a, b index.Probe) bool {
 		return a.Pages == b.Pages && a.Scanned == b.Scanned &&
-			a.Matched == b.Matched && a.Tombstones == b.Tombstones
+			a.Matched == b.Matched && a.Tombstones == b.Tombstones &&
+			a.Batches == b.Batches
 	}
 	if !sameCounters(g.Primary, w.Primary) || !sameCounters(g.Outlier, w.Outlier) {
 		t.Fatalf("%s: counters diverged:\nbatch primary %+v outlier %+v\nrow   primary %+v outlier %+v",

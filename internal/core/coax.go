@@ -80,7 +80,7 @@ type COAX struct {
 	sortDim int
 
 	primary  *gridfile.GridFile // nil when every row is an outlier
-	outliers index.Interface    // nil when every row is an inlier
+	outliers index.Engine       // nil when every row is an inlier
 
 	// Bounding boxes of each partition (§8.2.3: "check whether the query
 	// intersects with the primary, the outlier, or both indexes"). Queries
@@ -196,7 +196,7 @@ func BuildWithFD(t *dataset.Table, fd softfd.Result, opt Options) (*COAX, error)
 	return c, nil
 }
 
-func buildOutlierIndex(t *dataset.Table, opt Options) (index.Interface, error) {
+func buildOutlierIndex(t *dataset.Table, opt Options) (index.Engine, error) {
 	switch opt.OutlierKind {
 	case OutlierRTree:
 		capEntries := opt.OutlierRTreeCapacity
@@ -381,24 +381,30 @@ func (c *COAX) Query(r index.Rect, visit index.Visitor) {
 // QueryPrimary answers r from the primary index only (the "COAX (primary)"
 // series in Figures 6–8). Results are exact over the inlier partition.
 func (c *COAX) QueryPrimary(r index.Rect, visit index.Visitor) {
-	c.scanPrimary(r, index.AsYield(visit), nil, nil)
+	c.probePrimary(r, index.EachRow(index.AsYield(visit)), nil, nil)
 }
 
 // QueryOutliers answers r from the outlier index only.
 func (c *COAX) QueryOutliers(r index.Rect, visit index.Visitor) {
-	c.scanOutliers(r, index.AsYield(visit), nil, nil)
+	c.probeOutliers(r, index.EachRow(index.AsYield(visit)), nil, nil)
 }
 
-// Translate converts r into the rectangle probed against the primary index
+// Translate converts r into the rectangle that routes the primary probe
 // (Eq. 2): every constraint on a dependent attribute Cd is mapped through
 // its model ψ̂ and margins into a constraint on the predictor Cx and
 // intersected with Cx's native constraint; the dependent dimensions are
-// then left unconstrained for routing (matching rows are still re-checked
-// against the original rectangle). feasible is false when the translated
-// constraints prove no inlier can match, letting the caller skip the
-// primary probe entirely.
+// then left unconstrained for routing (the probe itself scans this
+// rectangle intersected with r, see translate). feasible is false when the
+// translated constraints prove no inlier can match, letting the caller
+// skip the primary probe entirely.
 func (c *COAX) Translate(r index.Rect) (routed index.Rect, feasible bool) {
-	return c.translate(r, nil)
+	routed, feasible = c.translate(r, nil)
+	for d, pm := range c.depends {
+		if pm != nil {
+			routed.Min[d], routed.Max[d] = math.Inf(-1), math.Inf(1)
+		}
+	}
+	return routed, feasible
 }
 
 // Stats summarises the build for Table 1 and the experiment reports.

@@ -211,7 +211,7 @@ func (c *COAX) AttachPrimary(g *gridfile.GridFile) error {
 // primary, the exact live-row check waits for FinishDecode.
 func (c *COAX) DecodeAttachOutliers(r *binio.Reader) error {
 	var (
-		idx index.Interface
+		idx index.Engine
 		err error
 	)
 	switch c.outlierKind {
@@ -228,7 +228,7 @@ func (c *COAX) DecodeAttachOutliers(r *binio.Reader) error {
 
 // AttachOutliers installs an already-assembled outlier index, applying the
 // same bounds checks as DecodeAttachOutliers.
-func (c *COAX) AttachOutliers(idx index.Interface) error {
+func (c *COAX) AttachOutliers(idx index.Engine) error {
 	if idx.Dims() != c.dims {
 		return fmt.Errorf("core: outlier index has %d dims, index has %d", idx.Dims(), c.dims)
 	}

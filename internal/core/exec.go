@@ -8,10 +8,13 @@ import (
 )
 
 // Query execution v2: the stop-aware, instrumented entry points behind the
-// public query builder. Exec is the real engine; Scan adapts it to
-// index.Interface, and the legacy Query/QueryPrimary/QueryOutliers methods
-// in coax.go are run-to-completion shims over the same code, so every
-// caller exercises one scan path.
+// public query builder. Every execution runs one partition walk (walk):
+// translate, probe the primary grid with the routed rectangle, probe the
+// outlier index with the original, each through the partition's batch
+// scan. Exec hands the walk's batches to a row yield, ExecAgg (agg.go)
+// folds them into an aggregate; Scan adapts Exec to index.Interface, and
+// the legacy Query/QueryPrimary/QueryOutliers methods in coax.go are
+// run-to-completion shims over the same walk.
 
 // Translation records one application of the paper's Eq. 2 during query
 // planning: the constraint on a dependent column mapped through its learned
@@ -51,8 +54,8 @@ type ProbeReport struct {
 	Outlier index.Probe
 	// PrimaryKernel and OutlierKernel name the scan kernel an aggregation
 	// execution dispatched per partition ("grid-batch", "rtree-batch",
-	// "row-fallback", ...); empty when the partition was pruned or the
-	// query ran the plain row path.
+	// ...); empty when the partition was pruned or the execution returned
+	// rows.
 	PrimaryKernel string
 	OutlierKernel string
 }
@@ -78,10 +81,12 @@ func (p *ProbeReport) Add(o *ProbeReport) {
 }
 
 // ObserveProbe folds one finished probe's report into the package-level
-// scan metrics. It lives here — not in obs — because obs must stay
-// import-free of the engine packages; every layer that owns a complete
-// query (shard fan-out, legacy batch path, the public single-index path)
-// calls it once per underlying ProbeReport. Callers gate on obs.On().
+// scan metrics, including — for an aggregation, whose report names its
+// kernels — a dispatch count per partition kernel and the rows its bitmaps
+// selected. It lives here — not in obs — because obs must stay import-free
+// of the engine packages; every layer that owns a complete query (shard
+// fan-out, legacy batch path, the public single-index path) calls it once
+// per underlying ProbeReport. Callers gate on obs.On().
 func ObserveProbe(rep *ProbeReport) {
 	if rep == nil {
 		return
@@ -97,6 +102,14 @@ func ObserveProbe(rep *ProbeReport) {
 		if !tr.Feasible {
 			obs.TranslationsInfeas.Inc()
 		}
+	}
+	if rep.PrimaryKernel != "" {
+		obs.KernelDispatch(rep.PrimaryKernel).Inc()
+		obs.BatchRowsSelected.Add(rep.Primary.Matched)
+	}
+	if rep.OutlierKernel != "" {
+		obs.KernelDispatch(rep.OutlierKernel).Inc()
+		obs.BatchRowsSelected.Add(rep.Outlier.Matched)
 	}
 }
 
@@ -115,11 +128,11 @@ func (c *COAX) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
 }
 
 // Exec answers r under the v2 contract: yield's return value stops the
-// scan, spec.Ctx cancels it at row granularity, spec.Stable makes every
+// scan, spec.Ctx cancels it at page granularity, spec.Stable makes every
 // delivered row a private copy, and a non-nil rep is filled with the
 // execution report (translations applied, partitions probed or pruned,
-// pages/rows scanned, tombstones filtered). It reports whether the scan ran
-// to completion.
+// pages/rows scanned, tombstones filtered, batches). It reports whether
+// the scan ran to completion.
 func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *ProbeReport) bool {
 	if spec.Stable {
 		inner := yield
@@ -129,9 +142,15 @@ func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Probe
 			return inner(cp)
 		}
 	}
-	// Cancellation reaches the scan through the probes' per-page abort
-	// hook — a yield-side check alone would never fire on a scan whose
-	// pages match nothing.
+	return c.walk(r, spec, index.EachRow(yield), rep)
+}
+
+// walk is the one execution plan behind Exec and ExecAgg: probe the
+// primary partition, then the outlier partition, handing every batch to
+// yield. Cancellation reaches the scans through the probes' per-page abort
+// hook — a yield-side check alone would never fire on a scan whose pages
+// match nothing.
+func (c *COAX) walk(r index.Rect, spec index.Spec, yield index.BatchYield, rep *ProbeReport) bool {
 	abort := spec.Abort
 	if spec.Ctx != nil {
 		ctx, prev := spec.Ctx, abort
@@ -139,20 +158,20 @@ func (c *COAX) Exec(r index.Rect, spec index.Spec, yield index.Yield, rep *Probe
 			return (prev != nil && prev()) || ctx.Err() != nil
 		}
 	}
-	if !c.scanPrimary(r, yield, rep, abort) {
+	if !c.probePrimary(r, yield, rep, abort) {
 		return false
 	}
 	if abort != nil && abort() {
 		return false
 	}
-	return c.scanOutliers(r, yield, rep, abort)
+	return c.probeOutliers(r, yield, rep, abort)
 }
 
 // partitionProbe returns the probe to hand a partition's scan: the
-// report's counter block when a report is wanted, a throwaway otherwise —
-// a probe must exist whenever an abort hook needs carrying.
-func partitionProbe(slot *index.Probe, wantReport bool, abort func() bool) *index.Probe {
-	if wantReport {
+// report's counter block slot when a report is wanted, a throwaway
+// otherwise — a probe must exist whenever an abort hook needs carrying.
+func partitionProbe(slot *index.Probe, abort func() bool) *index.Probe {
+	if slot != nil {
 		slot.Abort = abort
 		return slot
 	}
@@ -162,9 +181,10 @@ func partitionProbe(slot *index.Probe, wantReport bool, abort func() bool) *inde
 	return nil
 }
 
-// scanPrimary probes the primary grid with the translated rectangle,
-// re-checking every candidate against the original constraints.
-func (c *COAX) scanPrimary(r index.Rect, yield index.Yield, rep *ProbeReport, abort func() bool) bool {
+// probePrimary scans the primary grid with the translated rectangle, which
+// keeps r's own constraints (see translate), so every selected row matches
+// r.
+func (c *COAX) probePrimary(r index.Rect, yield index.BatchYield, rep *ProbeReport, abort func() bool) bool {
 	pruned := c.primary == nil || r.Empty() || !r.Overlaps(c.primaryBounds)
 	if pruned && rep == nil {
 		return true // skip the translation work the probe would not use
@@ -176,52 +196,36 @@ func (c *COAX) scanPrimary(r index.Rect, yield index.Yield, rep *ProbeReport, ab
 	if pruned || !feasible {
 		return true
 	}
+	var slot *index.Probe
 	if rep != nil {
 		rep.PrimaryProbed = true
+		slot = &rep.Primary
 	}
-	probe := partitionProbe(repPrimary(rep), rep != nil, abort)
-	return c.primary.Scan(routed, func(row []float64) bool {
-		if !r.Contains(row) {
-			// Candidate matched the routed rectangle only; it is not a
-			// result, so it must not count as one.
-			if probe != nil {
-				probe.Matched--
-			}
-			return true
-		}
-		return yield(row)
-	}, probe)
+	return c.primary.ScanBatch(routed, yield, partitionProbe(slot, abort))
 }
 
-// scanOutliers probes the outlier index with the original rectangle.
-func (c *COAX) scanOutliers(r index.Rect, yield index.Yield, rep *ProbeReport, abort func() bool) bool {
+// probeOutliers scans the outlier index with the original rectangle.
+func (c *COAX) probeOutliers(r index.Rect, yield index.BatchYield, rep *ProbeReport, abort func() bool) bool {
 	if c.outliers == nil || r.Empty() || !r.Overlaps(c.outlierBounds) {
 		return true
 	}
+	var slot *index.Probe
 	if rep != nil {
 		rep.OutlierProbed = true
+		slot = &rep.Outlier
 	}
-	probe := partitionProbe(repOutlier(rep), rep != nil, abort)
-	return c.outliers.Scan(r, yield, probe)
+	return c.outliers.ScanBatch(r, yield, partitionProbe(slot, abort))
 }
 
-func repPrimary(rep *ProbeReport) *index.Probe {
-	if rep == nil {
-		return nil
-	}
-	return &rep.Primary
-}
-
-func repOutlier(rep *ProbeReport) *index.Probe {
-	if rep == nil {
-		return nil
-	}
-	return &rep.Outlier
-}
-
-// translate implements Translate, optionally recording one Translation per
-// constrained dependent column into rep. With rep == nil it returns on the
-// first infeasible constraint exactly as the legacy path did; with a report
+// translate is Translate without releasing the dependent dimensions: it
+// returns r with every derived predictor interval intersected in — the
+// routed rectangle intersected with r, which is what the primary probe
+// scans. Grid routing and the sort-dimension span read only grid and sort
+// dimensions, which are never dependent columns, so keeping the dependent
+// constraints walks the same cells and spans as the routed rectangle
+// alone while selecting exactly the rows that also match r. It optionally
+// records one Translation per constrained dependent column into rep. With
+// rep == nil it returns on the first infeasible constraint; with a report
 // it keeps going so the EXPLAIN shows every derived interval.
 func (c *COAX) translate(r index.Rect, rep *ProbeReport) (routed index.Rect, feasible bool) {
 	routed = r.Clone()
@@ -262,9 +266,6 @@ func (c *COAX) translate(r index.Rect, rep *ProbeReport) (routed index.Rect, fea
 		if xHi < routed.Max[pm.X] {
 			routed.Max[pm.X] = xHi
 		}
-		// Dependent constraints do not route the grid probe.
-		routed.Min[d] = math.Inf(-1)
-		routed.Max[d] = math.Inf(1)
 		if routed.Min[pm.X] > routed.Max[pm.X] {
 			feasible = false
 			if rep == nil {

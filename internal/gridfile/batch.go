@@ -6,52 +6,49 @@ import (
 	"github.com/coax-index/coax/internal/index"
 )
 
-// Batch-at-a-time scanning (the vectorized sibling of Scan in gridfile.go).
-// The cell walk is identical — same odometer over the rectangle's cell
-// sub-lattice, same binary-searched sort-dimension span per page, same
-// probe counter semantics — but instead of yielding rows one at a time
-// through an interface call, each span is cut into windows of at most
+// Scanning. ScanBatch is the grid file's one scan: an odometer over the
+// rectangle's cell sub-lattice visits only overlapping cells, each cell's
+// main and overflow page is narrowed to the binary-searched span of the
+// in-cell sort dimension, and each span is cut into windows of at most
 // index.BatchRows rows whose selection bitmap is computed by per-column
 // range loops and masked against the tombstone bitmap before the batch is
-// handed to the caller.
+// handed to the caller. Scan and Query are the row adapters over it.
 
-// BatchKernel implements index.Kernel.
+// BatchKernel implements index.Engine.
 func (g *GridFile) BatchKernel() string { return "grid-batch" }
 
-var _ index.ScanBatcher = (*GridFile)(nil)
+var _ index.Engine = (*GridFile)(nil)
 
-// batchScratch is the per-call scratch of one ScanBatch: the selection
-// words and the tombstone window. Allocated once per scan (two 128-byte
-// slices), never shared — the grid file stays safe for concurrent readers.
+// batchScratch is the per-call state of one ScanBatch: the batch handed to
+// every yield and its selection words. It is allocated once per scan and
+// reused for every batch, never shared — the grid file stays safe for
+// concurrent readers.
 type batchScratch struct {
-	sel  []uint64
-	dead []uint64
+	b   index.Batch
+	sel [index.BatchRows / 64]uint64
 }
 
-// ScanBatch implements index.ScanBatcher. It visits exactly the rows
-// Scan(r, ...) yields and accumulates identical probe counters (pages,
-// rows scanned, matches, tombstones), plus one Probe.Batches increment per
-// batch handed to yield. The scan stops — skipping every remaining page —
-// as soon as yield returns false or the probe's abort hook fires.
+// ScanBatch implements index.Engine. Probe counters: one page per
+// non-empty main or overflow page visited, every row of its sort span
+// scanned, every tombstone in the span filtered (matching or not), the
+// selected rows matched, and one batch per window handed to yield. The
+// scan stops — skipping every remaining page — as soon as yield returns
+// false or the probe's abort hook fires.
 func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Probe) bool {
 	if r.Empty() {
 		return true
 	}
-	scratch := &batchScratch{sel: make([]uint64, index.BatchWords(index.BatchRows))}
-	if g.deadCount > 0 {
-		scratch.dead = make([]uint64, index.BatchWords(index.BatchRows))
-	}
+	sc := &batchScratch{b: index.Batch{Dims: g.dims}}
 
 	nd := len(g.cfg.GridDims)
-	lo := make([]int, nd)
-	hi := make([]int, nd)
+	lattice := make([]int, 3*nd)
+	lo, hi, idx := lattice[:nd], lattice[nd:2*nd], lattice[2*nd:]
 	for i, d := range g.cfg.GridDims {
 		lo[i] = g.locate(i, r.Min[d])
 		hi[i] = g.locate(i, r.Max[d])
 	}
 
-	// Odometer over the cell sub-lattice [lo, hi] — the same walk as Scan.
-	idx := make([]int, nd)
+	// Odometer over the cell sub-lattice [lo, hi].
 	copy(idx, lo)
 	for {
 		if probe.Aborted() {
@@ -61,11 +58,12 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 		for i := range idx {
 			c += idx[i] * g.strides[i]
 		}
-		if !g.batchCell(c, r, yield, probe, scratch) {
+		if !g.batchPage(g.cellPage(c), int(g.offsets[c]), r, yield, probe, sc) {
 			return false
 		}
-		if g.inserted > 0 {
-			if !g.batchOverflow(c, r, yield, probe, scratch) {
+		if page := g.overflow[c]; page != nil {
+			// Overflow pages delete in place and hold no tombstones.
+			if !g.batchPage(page.data, -1, r, yield, probe, sc) {
 				return false
 			}
 		}
@@ -84,10 +82,10 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 	}
 }
 
-// batchCell is scanCell's batch counterpart: the same span and the same
-// counters, with selection and tombstone filtering done word-wise.
-func (g *GridFile) batchCell(c int, r index.Rect, yield index.BatchYield, probe *index.Probe, scratch *batchScratch) bool {
-	page := g.cellPage(c)
+// batchPage yields the candidate span of one page in windows of at most
+// index.BatchRows rows. base is the global slot of the page's first row,
+// used to mask tombstones, or -1 for a page without any.
+func (g *GridFile) batchPage(page []float64, base int, r index.Rect, yield index.BatchYield, probe *index.Probe, sc *batchScratch) bool {
 	if len(page) == 0 {
 		return true
 	}
@@ -97,90 +95,40 @@ func (g *GridFile) batchCell(c int, r index.Rect, yield index.BatchYield, probe 
 		probe.Pages++
 		probe.Scanned += int64(hi - lo)
 	}
-	base := int(g.offsets[c]) // global slot of the page's first row
+	b := &sc.b
 	for s := lo; s < hi; s += index.BatchRows {
-		n := hi - s
-		if n > index.BatchRows {
-			n = index.BatchRows
-		}
-		words := index.BatchWords(n)
-		b := index.Batch{
-			Page: page[s*dims : (s+n)*dims],
-			Dims: dims,
-			Rows: n,
-			Sel:  scratch.sel[:words],
-		}
+		n := min(hi-s, index.BatchRows)
+		b.Page = page[s*dims : (s+n)*dims]
+		b.Rows = n
+		b.Sel = sc.sel[:index.BatchWords(n)]
 		index.SelectRect(b.Page, dims, n, r, b.Sel)
-		if g.deadCount > 0 {
-			// The row path counts every tombstone in the span — matching or
-			// not — before the rectangle check, so count the whole window's
-			// dead bits, then clear them from the selection.
-			dead := g.deadWindow(base+s, n, scratch.dead[:words])
+		if base >= 0 && g.deadCount > 0 {
+			// Every tombstone in the span counts, matching or not.
+			dead := g.maskDead(base+s, n, b.Sel)
 			if probe != nil {
 				probe.Tombstones += int64(dead)
 			}
-			if dead > 0 {
-				for w := range b.Sel {
-					b.Sel[w] &^= scratch.dead[w]
-				}
-			}
 		}
 		if probe != nil {
 			probe.Matched += int64(b.Selected())
 			probe.Batches++
 		}
-		if !yield(&b) {
+		if !yield(b) {
 			return false
 		}
 	}
 	return true
 }
 
-// batchOverflow is scanOverflow's batch counterpart. Overflow pages hold
-// no tombstones (deletes there are in-place), so no masking is needed.
-func (g *GridFile) batchOverflow(c int, r index.Rect, yield index.BatchYield, probe *index.Probe, scratch *batchScratch) bool {
-	page := g.overflow[c]
-	if page == nil || len(page.data) == 0 {
-		return true
-	}
-	dims := g.dims
-	lo, hi := g.querySpan(page.data, r)
-	if probe != nil {
-		probe.Pages++
-		probe.Scanned += int64(hi - lo)
-	}
-	for s := lo; s < hi; s += index.BatchRows {
-		n := hi - s
-		if n > index.BatchRows {
-			n = index.BatchRows
-		}
-		b := index.Batch{
-			Page: page.data[s*dims : (s+n)*dims],
-			Dims: dims,
-			Rows: n,
-			Sel:  scratch.sel[:index.BatchWords(n)],
-		}
-		index.SelectRect(b.Page, dims, n, r, b.Sel)
-		if probe != nil {
-			probe.Matched += int64(b.Selected())
-			probe.Batches++
-		}
-		if !yield(&b) {
-			return false
-		}
-	}
-	return true
-}
-
-// deadWindow extracts n bits of the tombstone bitmap starting at global
-// slot start into out (one word per 64 slots, tail bits zeroed) and
-// returns the number of set bits. The bitmap may be shorter than the slot
-// range — missing words read as zero, exactly as isDead treats them.
-func (g *GridFile) deadWindow(start, n int, out []uint64) int {
+// maskDead clears from sel (one word per 64 slots) the tombstoned slots
+// among the n starting at global slot start, and returns how many of the n
+// are tombstoned. The bitmap may be shorter than the slot range — missing
+// words read as zero, exactly as isDead treats them.
+func (g *GridFile) maskDead(start, n int, sel []uint64) int {
 	base := start >> 6
 	off := uint(start) & 63
 	count := 0
-	for w := range out {
+	for w := range sel {
 		var word uint64
 		k := base + w
 		if k < len(g.dead) {
@@ -193,7 +141,7 @@ func (g *GridFile) deadWindow(start, n int, out []uint64) int {
 		if rem < 64 {
 			word &= 1<<uint(rem) - 1
 		}
-		out[w] = word
+		sel[w] &^= word
 		count += bits.OnesCount64(word)
 	}
 	return count

@@ -4,120 +4,136 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/coax-index/coax/internal/dataset"
 	"github.com/coax-index/coax/internal/index"
+	"github.com/coax-index/coax/internal/lifecycle"
+	"github.com/coax-index/coax/internal/scan"
 	"github.com/coax-index/coax/internal/workload"
 )
 
-// rowPath collects rows and counters through the row-at-a-time scan.
-func rowPath(g *GridFile, r index.Rect) ([][]float64, index.Probe) {
-	var rows [][]float64
-	var p index.Probe
-	g.Scan(r, func(row []float64) bool {
-		rows = append(rows, append([]float64(nil), row...))
-		return true
-	}, &p)
-	return rows, p
+// liveRows mirrors a grid file's live multiset as the test mutates it, so
+// a full scan over it is the oracle for every query.
+type liveRows struct{ rows [][]float64 }
+
+func newLiveRows(t *dataset.Table) *liveRows {
+	l := &liveRows{}
+	for i := 0; i < t.Len(); i++ {
+		l.rows = append(l.rows, append([]float64(nil), t.Row(i)...))
+	}
+	return l
 }
 
-// batchPath collects rows and counters through the batch kernel, via the
-// Each compatibility shim.
-func batchPath(g *GridFile, r index.Rect) ([][]float64, index.Probe) {
-	var rows [][]float64
-	var p index.Probe
-	g.ScanBatch(r, func(b *index.Batch) bool {
-		return b.Each(func(row []float64) bool {
-			rows = append(rows, append([]float64(nil), row...))
-			return true
-		})
-	}, &p)
-	return rows, p
-}
+func (l *liveRows) insert(row []float64) { l.rows = append(l.rows, append([]float64(nil), row...)) }
 
-// sameProbe insists the batch path reproduced the row path's counters
-// exactly; Batches is the one field that legitimately differs (always zero
-// on the row path).
-func sameProbe(t *testing.T, label string, row, batch index.Probe) {
-	t.Helper()
-	if batch.Pages != row.Pages || batch.Scanned != row.Scanned ||
-		batch.Matched != row.Matched || batch.Tombstones != row.Tombstones {
-		t.Fatalf("%s: batch probe {pages %d scanned %d matched %d tombstones %d} vs row {%d %d %d %d}",
-			label, batch.Pages, batch.Scanned, batch.Matched, batch.Tombstones,
-			row.Pages, row.Scanned, row.Matched, row.Tombstones)
-	}
-	if batch.Matched > 0 && batch.Batches == 0 {
-		t.Fatalf("%s: batch path matched %d rows in zero batches", label, batch.Matched)
-	}
-	if row.Batches != 0 {
-		t.Fatalf("%s: row path counted %d batches", label, row.Batches)
+// remove drops one row equal to row, as a successful Delete does.
+func (l *liveRows) remove(row []float64) {
+	for i, r := range l.rows {
+		if lifecycle.RowsEqual(r, row) {
+			l.rows = append(l.rows[:i], l.rows[i+1:]...)
+			return
+		}
 	}
 }
 
-// TestScanBatchMatchesScan drives both paths over the same grid file in
-// every mutation state — fresh, with overflow inserts, with tombstones,
-// both, and compacted — and requires identical row multisets and identical
-// probe counters.
+func (l *liveRows) oracle(dims int) *scan.Scan {
+	t := dataset.NewTable(make([]string, dims))
+	for _, r := range l.rows {
+		t.Append(r)
+	}
+	return scan.New(t)
+}
+
+// TestScanBatchMatchesScan runs the grid file's scan over every mutation
+// state — fresh, with overflow inserts, with tombstones, both, and
+// compacted — and requires the row multiset of the full-scan oracle, a
+// Matched counter equal to the oracle's count, and on the full rectangle
+// every stored row scanned and every tombstone filtered.
 func TestScanBatchMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tab := randomTable(rng, 4000, 3)
-	build := func() *GridFile {
-		g, err := Build(tab, Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 6})
-		if err != nil {
+	del := func(g *GridFile, live *liveRows, row []float64) {
+		if g.Delete(row) {
+			live.remove(row)
+		}
+	}
+	ins := func(g *GridFile, live *liveRows, row []float64) {
+		if err := g.Insert(row); err != nil {
 			t.Fatal(err)
 		}
-		return g
+		live.insert(row)
 	}
-	mutate := map[string]func(*GridFile){
-		"fresh": func(*GridFile) {},
-		"overflow": func(g *GridFile) {
+	mutate := map[string]func(*GridFile, *liveRows){
+		"fresh": func(*GridFile, *liveRows) {},
+		"overflow": func(g *GridFile, live *liveRows) {
 			for i := 0; i < 300; i++ {
-				if err := g.Insert([]float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10}); err != nil {
-					t.Fatal(err)
-				}
+				ins(g, live, []float64{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10})
 			}
 		},
-		"tombstoned": func(g *GridFile) {
+		"tombstoned": func(g *GridFile, live *liveRows) {
 			for i := 0; i < 500; i += 3 {
-				g.Delete(tab.Row(i))
+				del(g, live, tab.Row(i))
 			}
 		},
-		"overflow+tombstoned": func(g *GridFile) {
+		"overflow+tombstoned": func(g *GridFile, live *liveRows) {
 			for i := 0; i < 200; i++ {
-				if err := g.Insert(append([]float64(nil), tab.Row(i)...)); err != nil {
-					t.Fatal(err)
-				}
+				ins(g, live, append([]float64(nil), tab.Row(i)...))
 			}
 			for i := 0; i < 600; i += 2 {
-				g.Delete(tab.Row(i))
+				del(g, live, tab.Row(i))
 			}
 		},
-		"compacted": func(g *GridFile) {
+		"compacted": func(g *GridFile, live *liveRows) {
 			for i := 0; i < 500; i += 3 {
-				g.Delete(tab.Row(i))
+				del(g, live, tab.Row(i))
 			}
 			g.Compact()
 		},
 	}
 	for name, mut := range mutate {
 		t.Run(name, func(t *testing.T) {
-			g := build()
-			mut(g)
+			g, err := Build(tab, Config{GridDims: []int{0, 1}, SortDim: 2, CellsPerDim: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := newLiveRows(tab)
+			mut(g, live)
+			oracle := live.oracle(3)
 			rects := make([]index.Rect, 0, 42)
 			for i := 0; i < 40; i++ {
 				rects = append(rects, workload.RandRect(rng, tab))
 			}
 			rects = append(rects, index.Full(3), index.Point(tab.Row(7)))
 			for _, r := range rects {
-				rowRows, rowProbe := rowPath(g, r)
-				batchRows, batchProbe := batchPath(g, r)
-				sameRows(t, batchRows, rowRows)
-				sameProbe(t, name, rowProbe, batchProbe)
+				var got [][]float64
+				var p index.Probe
+				if !g.Scan(r, func(row []float64) bool {
+					got = append(got, append([]float64(nil), row...))
+					return true
+				}, &p) {
+					t.Fatal("unstopped scan reported incomplete")
+				}
+				want := index.Collect(oracle, r)
+				sameRows(t, got, want)
+				if p.Matched != int64(len(want)) {
+					t.Fatalf("Matched %d, oracle count %d", p.Matched, len(want))
+				}
+				if p.Matched > 0 && p.Batches == 0 {
+					t.Fatalf("matched %d rows in zero batches", p.Matched)
+				}
+			}
+			var p index.Probe
+			g.ScanBatch(index.Full(3), func(*index.Batch) bool { return true }, &p)
+			if p.Scanned != int64(g.StoredRows()) || p.Tombstones != int64(g.Tombstones()) {
+				t.Fatalf("full scan: scanned %d of %d stored rows, filtered %d of %d tombstones",
+					p.Scanned, g.StoredRows(), p.Tombstones, g.Tombstones())
 			}
 		})
 	}
 }
 
-// TestScanBatchStops verifies a false-returning batch yield stops the scan
-// exactly like a false-returning row yield, reporting incompleteness.
+// TestScanBatchStops verifies that a false-returning yield stops the scan
+// after that call — at batch granularity on ScanBatch, at row granularity
+// on Scan — and that the abort hook stops it even when nothing is yielded.
 func TestScanBatchStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	tab := randomTable(rng, 2000, 2)
@@ -132,6 +148,11 @@ func TestScanBatchStops(t *testing.T) {
 	}, nil)
 	if complete || calls != 1 {
 		t.Fatalf("complete=%v after %d yields, want aborted after 1", complete, calls)
+	}
+
+	rows := 0
+	if g.Scan(index.Full(2), func([]float64) bool { rows++; return false }, nil) || rows != 1 {
+		t.Fatalf("row scan delivered %d rows after a false yield, want 1 and incomplete", rows)
 	}
 
 	// An abort hook fires at page granularity even when nothing matches.
@@ -180,4 +201,29 @@ func TestScanBatchSelectionInvariants(t *testing.T) {
 		}
 		return true
 	}, nil)
+}
+
+// TestScanBatchAllocsFlat pins the per-scan allocation count: a scan
+// reuses one Batch for every window, so a full scan of 20 batches
+// allocates no more than one of 2.
+func TestScanBatchAllocsFlat(t *testing.T) {
+	allocs := func(rows int) float64 {
+		rng := rand.New(rand.NewSource(45))
+		g, err := Build(randomTable(rng, rows, 2), Config{GridDims: []int{0}, SortDim: -1, CellsPerDim: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := index.Full(2)
+		batches := 0
+		g.ScanBatch(full, func(*index.Batch) bool { batches++; return true }, nil)
+		if batches != rows/index.BatchRows {
+			t.Fatalf("%d rows scanned in %d batches", rows, batches)
+		}
+		noop := func(*index.Batch) bool { return true }
+		return testing.AllocsPerRun(20, func() { g.ScanBatch(full, noop, nil) })
+	}
+	small, large := allocs(2*index.BatchRows), allocs(20*index.BatchRows)
+	if large > small {
+		t.Fatalf("ScanBatch allocates %.0f times for 20 batches vs %.0f for 2", large, small)
+	}
 }

@@ -331,55 +331,10 @@ func (g *GridFile) Query(r index.Rect, visit index.Visitor) {
 	g.Scan(r, index.AsYield(visit), nil)
 }
 
-// Scan implements index.Interface. It intersects the rectangle with the
-// cell lattice, visits only overlapping cells, uses binary search on the
-// in-cell sort dimension when that dimension is constrained, and checks
-// every candidate row against the full rectangle. The scan stops — skipping
-// every remaining page — as soon as yield returns false.
+// Scan implements index.Interface: the selected rows of ScanBatch, one at
+// a time.
 func (g *GridFile) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	if r.Empty() {
-		return true
-	}
-	nd := len(g.cfg.GridDims)
-	lo := make([]int, nd)
-	hi := make([]int, nd)
-	for i, d := range g.cfg.GridDims {
-		lo[i] = g.locate(i, r.Min[d])
-		hi[i] = g.locate(i, r.Max[d])
-	}
-
-	// Odometer over the cell sub-lattice [lo, hi].
-	idx := make([]int, nd)
-	copy(idx, lo)
-	for {
-		if probe.Aborted() {
-			return false // cancelled: stop even if no cell ever matches
-		}
-		c := 0
-		for i := range idx {
-			c += idx[i] * g.strides[i]
-		}
-		if !g.scanCell(c, r, yield, probe) {
-			return false
-		}
-		if g.inserted > 0 {
-			if !g.scanOverflow(c, r, yield, probe) {
-				return false
-			}
-		}
-
-		i := nd - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] <= hi[i] {
-				break
-			}
-			idx[i] = lo[i]
-		}
-		if i < 0 {
-			return true
-		}
-	}
+	return index.ScanRows(g, r, yield, probe)
 }
 
 // sortSpan returns the row interval [lo, hi) of a page that can hold
@@ -412,36 +367,4 @@ func (g *GridFile) rowSpan(page []float64, row []float64) (lo, hi int) {
 		return g.sortSpan(page, row[sd], row[sd])
 	}
 	return g.sortSpan(page, 0, 0)
-}
-
-func (g *GridFile) scanCell(c int, r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	page := g.cellPage(c)
-	if len(page) == 0 {
-		return true
-	}
-	dims := g.dims
-	lo, hi := g.querySpan(page, r)
-	if probe != nil {
-		probe.Pages++
-		probe.Scanned += int64(hi - lo)
-	}
-	base := int(g.offsets[c]) // global slot of the page's first row
-	for i := lo; i < hi; i++ {
-		if g.deadCount > 0 && g.isDead(base+i) {
-			if probe != nil {
-				probe.Tombstones++
-			}
-			continue // tombstoned: filtered at the visitor boundary
-		}
-		row := page[i*dims : (i+1)*dims]
-		if r.Contains(row) {
-			if probe != nil {
-				probe.Matched++
-			}
-			if !yield(row) {
-				return false
-			}
-		}
-	}
-	return true
 }

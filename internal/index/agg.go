@@ -7,12 +7,12 @@ import (
 )
 
 // Aggregation pushdown. An AggState folds rows into a running aggregate
-// without ever materializing them: the batch path folds straight off a
-// Batch's selection bitmap (COUNT is a popcount over the selection words;
-// SUM/MIN/MAX walk only the set bits of the value column), and the row
-// path folds one row at a time through FoldRow. Both paths perform the
-// identical floating-point operations in the identical order, so a batch
-// execution and a row execution of the same scan produce bit-identical
+// without ever materializing them: FoldBatch folds straight off a Batch's
+// selection bitmap (COUNT is a popcount over the selection words;
+// SUM/MIN/MAX walk only the set bits of the value column), and FoldRow
+// folds one row at a time for callers that only have rows. Both perform
+// the identical floating-point operations in the identical order, so
+// folding a scan's batches and folding its rows produce bit-identical
 // aggregates. Partial states from independent scans (the shards of a
 // fan-out) merge deterministically with Merge.
 
@@ -95,7 +95,7 @@ type AggCell struct {
 }
 
 // fold absorbs one value. The operation order (extrema update, then sum,
-// then count) is the single definition both the batch and row paths use —
+// then count) is the single definition FoldBatch and FoldRow use —
 // bit-identical results depend on it.
 func (c *AggCell) fold(v float64) {
 	if c.Count == 0 {
@@ -185,14 +185,14 @@ func (a *AggState) cell(key float64) *AggCell {
 // FoldBatch folds every selected row of b into the state. Ungrouped COUNT
 // never touches the page — it is a popcount over the selection words;
 // every other shape walks only the set bits, reading just the columns the
-// spec needs.
-func (a *AggState) FoldBatch(b *Batch) {
+// spec needs. It always returns true, so it is itself a BatchYield.
+func (a *AggState) FoldBatch(b *Batch) bool {
 	if a.Spec.Group < 0 {
 		if a.Spec.Op == AggCount {
 			for _, w := range b.Sel {
 				a.All.Count += int64(bits.OnesCount64(w))
 			}
-			return
+			return true
 		}
 		col := a.Spec.Col
 		for w, word := range b.Sel {
@@ -203,7 +203,7 @@ func (a *AggState) FoldBatch(b *Batch) {
 				a.All.fold(b.Page[i*b.Dims+col])
 			}
 		}
-		return
+		return true
 	}
 	gcol := a.Spec.Group
 	counting := a.Spec.Op == AggCount
@@ -222,10 +222,12 @@ func (a *AggState) FoldBatch(b *Batch) {
 			}
 		}
 	}
+	return true
 }
 
-// FoldRow folds one row — the row-at-a-time fallback, performing exactly
-// the operations FoldBatch performs per selected row.
+// FoldRow folds one row, performing exactly the operations FoldBatch
+// performs per selected row — the fold for sources that yield rows, not
+// batches.
 func (a *AggState) FoldRow(row []float64) {
 	if a.Spec.Group < 0 {
 		if a.Spec.Op == AggCount {

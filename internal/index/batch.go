@@ -5,13 +5,13 @@ import (
 	"math/bits"
 )
 
-// Batch-at-a-time scanning. The row-at-a-time Scan contract pays an
-// interface call, a full Contains re-check, and a slice-header copy per
-// matching row; ScanBatch amortizes all three by evaluating the rectangle
-// as tight per-column loops over a page's rows and handing the caller one
-// selection bitmap per batch. Aggregations fold straight off the bitmap
-// (COUNT is a popcount; SUM/MIN/MAX walk only the set bits), and row
-// consumers recover the exact Scan behaviour through Batch.Each.
+// Batch-at-a-time scanning: the one scan every storage engine implements.
+// An engine evaluates the rectangle as tight per-column loops over a
+// page's rows and hands the caller one selection bitmap per batch.
+// Aggregations fold straight off the bitmap (COUNT is a popcount;
+// SUM/MIN/MAX walk only the set bits), and row consumers walk the set bits
+// through Batch.Each — ScanRows is that adapter, and it is how every engine
+// answers the row-at-a-time Scan of Interface.
 
 // BatchRows is the maximum number of rows in one Batch: large enough to
 // amortize per-batch bookkeeping, small enough that a batch's selection
@@ -46,20 +46,32 @@ type Batch struct {
 // should continue, mirroring Yield's contract at batch granularity.
 type BatchYield func(b *Batch) bool
 
-// ScanBatcher is the batch-at-a-time contract implemented alongside Scan
-// by indexes with vectorized kernels. ScanBatch visits exactly the rows
-// Scan(r, ...) would yield — as set bits instead of callbacks — and
-// accumulates the same probe counters (pages, rows scanned, matches,
-// tombstones) plus Probe.Batches. It reports whether the scan ran to
-// completion (false: the yield or the probe's abort hook stopped it).
-type ScanBatcher interface {
+// Engine is the contract of a storage engine with a batch kernel (grid
+// file, R-tree, full scan) — what COAX requires of its outlier partition.
+// ScanBatch is the engine's one scan: it hands yield every window of
+// candidate rows it examines, with bit i of the selection set iff row i
+// lies inside r and is live, accumulates the probe counters (pages, rows
+// scanned, rows selected, tombstones, batches) and reports whether the
+// scan ran to completion (false: the yield or the probe's abort hook
+// stopped it). The engine's Scan is ScanRows over it.
+type Engine interface {
+	Interface
 	ScanBatch(r Rect, yield BatchYield, probe *Probe) bool
+	// BatchKernel names the engine's scan kernel for EXPLAIN output and
+	// the per-kernel dispatch metrics.
+	BatchKernel() string
 }
 
-// Kernel is implemented by indexes that name their vectorized scan kernel
-// for EXPLAIN output and the per-kernel dispatch metrics.
-type Kernel interface {
-	BatchKernel() string
+// ScanRows is the row-at-a-time Scan of an engine: its batch scan with
+// each batch's selected rows handed to yield.
+func ScanRows(e Engine, r Rect, yield Yield, probe *Probe) bool {
+	return e.ScanBatch(r, EachRow(yield), probe)
+}
+
+// EachRow adapts a row yield to a batch yield that hands it every selected
+// row of each batch through Batch.Each.
+func EachRow(yield Yield) BatchYield {
+	return func(b *Batch) bool { return b.Each(yield) }
 }
 
 // Selected returns the number of set bits in the batch's selection bitmap.
@@ -76,8 +88,7 @@ func (b *Batch) Row(i int) []float64 {
 	return b.Page[i*b.Dims : (i+1)*b.Dims : (i+1)*b.Dims]
 }
 
-// Each drives a row-at-a-time yield off the selection bitmap — the
-// compatibility shim that makes a batch scan behave exactly like Scan. It
+// Each hands yield every selected row of the batch, in page order. It
 // reports whether every selected row was delivered (false: yield stopped
 // it).
 func (b *Batch) Each(yield Yield) bool {
@@ -100,7 +111,7 @@ func (b *Batch) Each(yield Yield) bool {
 // 64-bit match words that are AND-intersected across dimensions;
 // unconstrained dimensions cost nothing. sel must hold BatchWords(rows)
 // words; tail bits are left zero. The per-value test is the exact negation
-// of Contains' rejection test, so NaN handling matches the row path
+// of Contains' rejection test, so NaN handling matches Contains
 // bit-for-bit.
 func SelectRect(page []float64, dims, rows int, r Rect, sel []uint64) {
 	words := BatchWords(rows)

@@ -37,12 +37,13 @@ type Probe struct {
 	Pages int64
 	// Scanned counts candidate rows examined against the rectangle.
 	Scanned int64
-	// Matched counts rows handed to the yield.
+	// Matched counts rows selected for the yield: on a batch scan, the set
+	// bits of every batch handed to it.
 	Matched int64
 	// Tombstones counts deleted rows filtered at the visitor boundary.
 	Tombstones int64
-	// Batches counts selection-bitmap batches processed by a batch scan;
-	// always zero on the row-at-a-time path.
+	// Batches counts selection-bitmap batches handed to the yield; row
+	// scans of an Engine count them too, since they run on its batches.
 	Batches int64
 	// Abort, when non-nil, is polled at page boundaries; returning true
 	// stops the scan exactly as a false-returning yield would. This is how

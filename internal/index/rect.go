@@ -1,7 +1,10 @@
 // Package index defines the shared contract implemented by every
 // multidimensional index in this repository (COAX, grid file, uniform grid,
 // column files, R-tree, full scan) together with the axis-aligned rectangle
-// type used to express range and point queries.
+// type used to express range and point queries. Storage engines implement
+// one scan, the batch scan of Engine; their row-at-a-time Scan is the
+// ScanRows adapter over it, and aggregations fold its batches through
+// AggState.
 package index
 
 import (

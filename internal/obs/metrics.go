@@ -37,11 +37,11 @@ var (
 	TranslationsInfeas = NewCounter("coax_translations_infeasible_total", "Translations yielding an empty predictor interval (query answered from the outlier partition alone).")
 )
 
-// Batch-kernel plane — updated by the layers that own whole queries when
-// an execution ran the vectorized scan kernels (core.ObserveProbe folds
-// Probe.Batches; the aggregation paths count dispatches and selected
-// rows). One dispatch series is pre-registered per kernel name so the hot
-// path never formats labels.
+// Batch-kernel plane — updated by the layers that own whole queries
+// through core.ObserveProbe, which folds Probe.Batches for every query
+// (row queries run on the batch kernels too) and, for aggregations, the
+// kernel dispatches and bitmap-selected rows. One dispatch series is
+// pre-registered per kernel name so the hot path never formats labels.
 var (
 	AggQueries        = NewCounter("coax_agg_queries_total", "Aggregation queries executed through the pushdown path.")
 	ScanBatches       = NewCounter("coax_scan_batches_total", "Selection-bitmap batches processed by vectorized scan kernels.")
@@ -50,7 +50,6 @@ var (
 	KernelGridBatch     = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "grid-batch"})
 	KernelRTreeBatch    = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "rtree-batch"})
 	KernelFullScanBatch = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "fullscan-batch"})
-	KernelRowFallback   = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "row-fallback"})
 	KernelOtherBatch    = NewCounter("coax_kernel_dispatch_total", "Scan-kernel dispatches by kernel name.", Label{"kernel", "batch"})
 )
 
@@ -64,8 +63,6 @@ func KernelDispatch(name string) *Counter {
 		return KernelRTreeBatch
 	case "fullscan-batch":
 		return KernelFullScanBatch
-	case "row-fallback":
-		return KernelRowFallback
 	}
 	return KernelOtherBatch
 }

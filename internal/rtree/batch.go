@@ -2,27 +2,29 @@ package rtree
 
 import "github.com/coax-index/coax/internal/index"
 
-// Batch-at-a-time scanning for the R-tree. Leaf entries are scattered
-// across small nodes, so unlike the grid file there is no contiguous page
-// to bitmap in place; instead candidate rows are gathered into a reusable
-// row-major slab and the rectangle is evaluated per column over the slab
-// once it fills — the copies cost one memmove per candidate but remove the
-// per-row interface call and Contains re-check, which dominate on the
-// outlier path. Probe counters match the row path exactly: one page per
-// node visited, every leaf entry scanned, matches counted via the bitmap.
+// Scanning. ScanBatch is the R-tree's one scan: the standard recursive
+// search, pruning every subtree whose box misses the rectangle. Leaf
+// entries are scattered across small nodes, so unlike the grid file there
+// is no contiguous page to bitmap in place; instead candidate rows are
+// gathered into a reusable row-major slab and the rectangle is evaluated
+// per column over the slab once it fills — the copies cost one memmove per
+// candidate but remove the per-row call and Contains check. Scan and Query
+// are the row adapters over it.
 
-// BatchKernel implements index.Kernel.
+// BatchKernel implements index.Engine.
 func (rt *RTree) BatchKernel() string { return "rtree-batch" }
 
-var _ index.ScanBatcher = (*RTree)(nil)
+var _ index.Engine = (*RTree)(nil)
 
-// rtGather accumulates candidate leaf rows until a batch is full.
+// rtGather is the per-call state of one ScanBatch: the candidate leaf rows
+// gathered so far and the batch handed to every yield, reused for every
+// batch.
 type rtGather struct {
+	b    index.Batch
 	page []float64
 	rows int
-	sel  []uint64
+	sel  [index.BatchRows / 64]uint64
 	r    index.Rect
-	dims int
 }
 
 // emit evaluates and yields the gathered batch, then resets the gather.
@@ -31,35 +33,33 @@ func (g *rtGather) emit(yield index.BatchYield, probe *index.Probe) bool {
 	if g.rows == 0 {
 		return true
 	}
-	b := index.Batch{
-		Page: g.page,
-		Dims: g.dims,
-		Rows: g.rows,
-		Sel:  g.sel[:index.BatchWords(g.rows)],
-	}
-	index.SelectRect(b.Page, g.dims, g.rows, g.r, b.Sel)
+	b := &g.b
+	b.Page = g.page
+	b.Rows = g.rows
+	b.Sel = g.sel[:index.BatchWords(g.rows)]
+	index.SelectRect(b.Page, b.Dims, b.Rows, g.r, b.Sel)
 	if probe != nil {
 		probe.Matched += int64(b.Selected())
 		probe.Batches++
 	}
 	g.page = g.page[:0]
 	g.rows = 0
-	return yield(&b)
+	return yield(b)
 }
 
-// ScanBatch implements index.ScanBatcher: it visits exactly the rows
-// Scan(r, ...) yields, with identical pages/rows-scanned/matched counters,
-// plus Probe.Batches. The recursion unwinds as soon as yield declines a
-// batch or the probe's abort hook fires.
+// ScanBatch implements index.Engine. Probe counters: one page per node
+// visited, every entry of a visited leaf scanned, the selected rows
+// matched, and one batch per full slab (plus the final partial one). The
+// recursion unwinds as soon as yield declines a batch or the probe's abort
+// hook fires.
 func (rt *RTree) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Probe) bool {
 	if r.Empty() || rt.n == 0 {
 		return true
 	}
 	g := &rtGather{
+		b:    index.Batch{Dims: rt.dims},
 		page: make([]float64, 0, index.BatchRows*rt.dims),
-		sel:  make([]uint64, index.BatchWords(index.BatchRows)),
 		r:    r,
-		dims: rt.dims,
 	}
 	if !rt.searchBatch(rt.root, r, g, yield, probe) {
 		return false

@@ -150,48 +150,10 @@ func (rt *RTree) Query(r index.Rect, visit index.Visitor) {
 	rt.Scan(r, index.AsYield(visit), nil)
 }
 
-// Scan implements index.Interface with the standard recursive search; the
-// recursion unwinds — pruning every unvisited subtree — as soon as yield
-// returns false.
+// Scan implements index.Interface: the selected rows of ScanBatch, one at
+// a time.
 func (rt *RTree) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	if r.Empty() || rt.n == 0 {
-		return true
-	}
-	return rt.search(rt.root, r, yield, probe)
-}
-
-func (rt *RTree) search(nd *node, r index.Rect, yield index.Yield, probe *index.Probe) bool {
-	if probe.Aborted() {
-		return false // cancelled: stop even if no node ever matches
-	}
-	if probe != nil {
-		probe.Pages++
-	}
-	if nd.leaf {
-		if probe != nil {
-			probe.Scanned += int64(len(nd.entries))
-		}
-		for i := range nd.entries {
-			if r.Contains(nd.entries[i].min) {
-				if probe != nil {
-					probe.Matched++
-				}
-				if !yield(nd.entries[i].min) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for i := range nd.entries {
-		e := &nd.entries[i]
-		if overlaps(r, e.min, e.max) {
-			if !rt.search(e.child, r, yield, probe) {
-				return false
-			}
-		}
-	}
-	return true
+	return index.ScanRows(rt, r, yield, probe)
 }
 
 func overlaps(r index.Rect, min, max []float64) bool {

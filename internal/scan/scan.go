@@ -38,16 +38,16 @@ func (s *Scan) Query(r index.Rect, visit index.Visitor) {
 	s.Scan(r, index.AsYield(visit), nil)
 }
 
-// BatchKernel implements index.Kernel.
+// BatchKernel implements index.Engine.
 func (s *Scan) BatchKernel() string { return "fullscan-batch" }
 
-var _ index.ScanBatcher = (*Scan)(nil)
+var _ index.Engine = (*Scan)(nil)
 
-// ScanBatch implements index.ScanBatcher directly over the table's
-// contiguous row-major slab: each window of index.BatchRows rows gets its
-// selection bitmap from per-column range loops, with no per-row calls at
-// all. Probe counters match Scan exactly (one page, every row scanned,
-// matches counted); the abort hook is polled per batch.
+// ScanBatch implements index.Engine directly over the table's contiguous
+// row-major slab: each window of index.BatchRows rows gets its selection
+// bitmap from per-column range loops, with no per-row calls at all. Probe
+// counters match Scan (one page, every row scanned, matches counted) plus
+// one batch per window; the abort hook is polled per batch.
 func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Probe) bool {
 	if r.Empty() {
 		return true
@@ -59,35 +59,35 @@ func (s *Scan) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.Prob
 		probe.Pages++
 		probe.Scanned += int64(rows)
 	}
-	sel := make([]uint64, index.BatchWords(index.BatchRows))
+	// One batch and its selection words serve every window of the scan.
+	sc := &struct {
+		b   index.Batch
+		sel [index.BatchRows / 64]uint64
+	}{b: index.Batch{Dims: dims}}
+	b := &sc.b
 	for off := 0; off < rows; off += index.BatchRows {
 		if probe.Aborted() {
 			return false
 		}
-		n := rows - off
-		if n > index.BatchRows {
-			n = index.BatchRows
-		}
-		b := index.Batch{
-			Page: data[off*dims : (off+n)*dims],
-			Dims: dims,
-			Rows: n,
-			Sel:  sel[:index.BatchWords(n)],
-		}
+		n := min(rows-off, index.BatchRows)
+		b.Page = data[off*dims : (off+n)*dims]
+		b.Rows = n
+		b.Sel = sc.sel[:index.BatchWords(n)]
 		index.SelectRect(b.Page, dims, n, r, b.Sel)
 		if probe != nil {
 			probe.Matched += int64(b.Selected())
 			probe.Batches++
 		}
-		if !yield(&b) {
+		if !yield(b) {
 			return false
 		}
 	}
 	return true
 }
 
-// Scan implements index.Interface by testing every row until yield stops
-// the scan.
+// Scan implements index.Interface by testing every row with r.Contains
+// until yield stops the scan. It deliberately does not run on ScanBatch:
+// it is the independent oracle the other indexes' tests compare against.
 func (s *Scan) Scan(r index.Rect, yield index.Yield, probe *index.Probe) bool {
 	if r.Empty() {
 		return true

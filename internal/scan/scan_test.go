@@ -49,3 +49,28 @@ func TestScanVisitsRowsInOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestScanBatchAllocsFlat pins the per-scan allocation count: a scan
+// reuses one Batch for every window, so a full scan of 20 batches
+// allocates no more than one of 2.
+func TestScanBatchAllocsFlat(t *testing.T) {
+	allocs := func(rows int) float64 {
+		tab := dataset.NewTable([]string{"a", "b"})
+		for i := 0; i < rows; i++ {
+			tab.Append([]float64{float64(i), float64(-i)})
+		}
+		s := New(tab)
+		full := index.Full(2)
+		batches := 0
+		s.ScanBatch(full, func(*index.Batch) bool { batches++; return true }, nil)
+		if batches != rows/index.BatchRows {
+			t.Fatalf("%d rows scanned in %d batches", rows, batches)
+		}
+		noop := func(*index.Batch) bool { return true }
+		return testing.AllocsPerRun(20, func() { s.ScanBatch(full, noop, nil) })
+	}
+	small, large := allocs(2*index.BatchRows), allocs(20*index.BatchRows)
+	if large > small {
+		t.Fatalf("ScanBatch allocates %.0f times for 20 batches vs %.0f for 2", large, small)
+	}
+}
