@@ -23,8 +23,8 @@ const (
 // sections laid out as fixed-width 64-byte-aligned pages that OpenFile can
 // serve straight from a memory mapping, without decoding the file onto the
 // heap. With compress set, each grid cell page is stored columnar
-// (delta/frame-of-reference bit-packed) and decompressed lazily per page
-// into a bounded cache on first access. The write is atomic, like SaveFile.
+// (delta/frame-of-reference bit-packed), and each query decodes only the
+// rows of the pages it scans. The write is atomic, like SaveFile.
 func SaveFileV3(path string, idx *Index, compress bool) error {
 	blob, err := mmapsnap.EncodeIndex(idx, mmapsnap.Options{Compress: compress})
 	if err != nil {
@@ -128,17 +128,18 @@ func (s *Snapshot) Serving(workers int) (*ShardedIndex, error) {
 // O(rows): startup cost and steady-state resident memory shift to the
 // kernel page cache, shared across processes serving the same file. The
 // trade-offs run the other way on the query path — uncompressed pages are
-// read at mapping speed, compressed pages pay a one-off per-page decode —
-// and a v3 Snapshot must be kept open (and its file unmodified) for as
-// long as its indexes are in use.
+// read at mapping speed, compressed pages are decoded by every scan that
+// visits them, one sort span at a time into scratch the scan owns — and a
+// v3 Snapshot must be kept open (and its file unmodified) for as long as
+// its indexes are in use.
 func OpenFile(path string) (*Snapshot, error) {
 	return OpenFileOptions(path, OpenOptions{})
 }
 
 // OpenOptions tunes OpenFile.
 type OpenOptions struct {
-	// PageCacheBytes bounds the decoded-page cache of a compressed v3
-	// snapshot; 0 means the default (32 MiB).
+	// Deprecated: ignored. Compressed v3 pages are decoded per scan into
+	// scratch the scan owns; no decoded-page cache remains to bound.
 	PageCacheBytes int64
 }
 
@@ -149,7 +150,7 @@ func OpenFileOptions(path string, opt OpenOptions) (*Snapshot, error) {
 		return nil, err
 	}
 	if v == mmapsnap.Version {
-		ms, err := mmapsnap.OpenFile(path, mmapsnap.OpenOptions{PageCacheBytes: opt.PageCacheBytes})
+		ms, err := mmapsnap.OpenFile(path)
 		if err != nil {
 			return nil, err
 		}

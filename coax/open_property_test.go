@@ -17,7 +17,8 @@ import (
 // compression), OpenFile over the mapped v3 file must return exactly the
 // rows and aggregate values of the heap-decoded v2 load — bitwise, query
 // by query — including under concurrent readers (CI runs this under
-// -race, which exercises the shared decoded-page cache).
+// -race, which checks that concurrent scans of compressed pages share no
+// decode state).
 
 func TestPropertyMappedMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -185,7 +186,8 @@ func requireSameAnswers(t *testing.T, heap, mapped *coax.Snapshot, r coax.Rect, 
 
 // concurrentCompare runs the whole query set from several goroutines at
 // once against the mapped snapshot, checking counts against the heap
-// baseline — the race detector watches the shared page cache underneath.
+// baseline — the race detector checks that the scans, each decoding into
+// its own scratch, share nothing mutable.
 func concurrentCompare(t *testing.T, heap, mapped *coax.Snapshot, queries []coax.Rect) {
 	t.Helper()
 	hq, mq := querierOf(t, heap), querierOf(t, mapped)

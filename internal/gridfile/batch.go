@@ -20,12 +20,14 @@ func (g *GridFile) BatchKernel() string { return "grid-batch" }
 var _ index.Engine = (*GridFile)(nil)
 
 // batchScratch is the per-call state of one ScanBatch: the batch handed to
-// every yield and its selection words. It is allocated once per scan and
-// reused for every batch, never shared — the grid file stays safe for
-// concurrent readers.
+// every yield, its selection words, and the buffer a page store decodes
+// each sort span into. It is allocated once per scan and reused for every
+// batch and page, never shared — the grid file stays safe for concurrent
+// readers.
 type batchScratch struct {
-	b   index.Batch
-	sel [index.BatchRows / 64]uint64
+	b    index.Batch
+	sel  [index.BatchRows / 64]uint64
+	span []float64
 }
 
 // ScanBatch implements index.Engine. Probe counters: one page per
@@ -58,12 +60,16 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 		for i := range idx {
 			c += idx[i] * g.strides[i]
 		}
-		if !g.batchPage(g.cellPage(c), int(g.offsets[c]), r, yield, probe, sc) {
-			return false
+		if g.offsets[c+1] > g.offsets[c] {
+			span, first := g.mainSpan(c, r, sc)
+			if !g.batchSpan(span, int(g.offsets[c])+first, r, yield, probe, sc) {
+				return false
+			}
 		}
 		if page := g.overflow[c]; page != nil {
 			// Overflow pages delete in place and hold no tombstones.
-			if !g.batchPage(page.data, -1, r, yield, probe, sc) {
+			lo, hi := g.querySpan(page.data, r)
+			if !g.batchSpan(page.data[lo*g.dims:hi*g.dims], -1, r, yield, probe, sc) {
 				return false
 			}
 		}
@@ -82,23 +88,38 @@ func (g *GridFile) ScanBatch(r index.Rect, yield index.BatchYield, probe *index.
 	}
 }
 
-// batchPage yields the candidate span of one page in windows of at most
-// index.BatchRows rows. base is the global slot of the page's first row,
-// used to mask tombstones, or -1 for a page without any.
-func (g *GridFile) batchPage(page []float64, base int, r index.Rect, yield index.BatchYield, probe *index.Probe, sc *batchScratch) bool {
-	if len(page) == 0 {
-		return true
+// mainSpan returns the sort span of cell c's main page for r, and the
+// index of its first row in the page. A store decodes just that span into
+// the scan's scratch, which the next page overwrites.
+func (g *GridFile) mainSpan(c int, r index.Rect, sc *batchScratch) ([]float64, int) {
+	if g.store == nil {
+		page := g.cellPage(c)
+		lo, hi := g.querySpan(page, r)
+		return page[lo*g.dims : hi*g.dims], lo
 	}
+	w := SortWindow{Whole: true}
+	if sd := g.cfg.SortDim; sd >= 0 {
+		w = SortWindow{Min: r.Min[sd], Max: r.Max[sd]}
+	}
+	span, first := g.store.CellSpan(c, w, sc.span)
+	sc.span = span[:cap(span)]
+	return span, first
+}
+
+// batchSpan yields the sort span of one non-empty page in windows of at
+// most index.BatchRows rows. base is the global slot of the span's first
+// row, used to mask tombstones, or -1 for a page without any.
+func (g *GridFile) batchSpan(span []float64, base int, r index.Rect, yield index.BatchYield, probe *index.Probe, sc *batchScratch) bool {
 	dims := g.dims
-	lo, hi := g.querySpan(page, r)
+	rows := len(span) / dims
 	if probe != nil {
 		probe.Pages++
-		probe.Scanned += int64(hi - lo)
+		probe.Scanned += int64(rows)
 	}
 	b := &sc.b
-	for s := lo; s < hi; s += index.BatchRows {
-		n := min(hi-s, index.BatchRows)
-		b.Page = page[s*dims : (s+n)*dims]
+	for s := 0; s < rows; s += index.BatchRows {
+		n := min(rows-s, index.BatchRows)
+		b.Page = span[s*dims : (s+n)*dims]
 		b.Rows = n
 		b.Sel = sc.sel[:index.BatchWords(n)]
 		index.SelectRect(b.Page, dims, n, r, b.Sel)

@@ -59,8 +59,9 @@ type GridFile struct {
 
 	// store, when non-nil, supplies main-page rows instead of data — the
 	// hook a memory-mapped snapshot uses to decompress cell pages lazily
-	// (see internal/mmapsnap). All read paths go through cellPage, so a
-	// store-backed grid file answers queries identically to a resident one.
+	// (see internal/mmapsnap). Scans read main pages through mainSpan and
+	// every other path through cellPage, so a store-backed grid file
+	// answers queries identically to a resident one.
 	store PageStore
 
 	// Insert support (see insert.go): per-cell delta pages merged back by
@@ -249,9 +250,12 @@ func (g *GridFile) sortCell(c int) {
 	sort.Sort(&cellSorter{data: page, dims: g.dims, key: g.cfg.SortDim, tmp: make([]float64, g.dims)})
 }
 
+// cellPage returns cell c's whole main page. A store-backed page is
+// decoded into a fresh slice the caller may keep.
 func (g *GridFile) cellPage(c int) []float64 {
 	if g.store != nil {
-		return g.store.CellPage(c)
+		page, _ := g.store.CellSpan(c, SortWindow{Whole: true}, nil)
+		return page
 	}
 	return g.data[g.offsets[c]*int64(g.dims) : g.offsets[c+1]*int64(g.dims)]
 }
@@ -340,15 +344,23 @@ func (g *GridFile) Scan(r index.Rect, yield index.Yield, probe *index.Probe) boo
 // sortSpan returns the row interval [lo, hi) of a page that can hold
 // values in [min, max] on the sort dimension — the whole page when in-cell
 // sorting is disabled. Every page walk (query and delete, main and
-// overflow) locates its candidates through this one helper.
+// overflow) locates its candidates through SortSpan.
 func (g *GridFile) sortSpan(page []float64, min, max float64) (lo, hi int) {
 	nRows := len(page) / g.dims
 	sd := g.cfg.SortDim
-	if sd < 0 {
+	if sd < 0 || nRows == 0 {
 		return 0, nRows
 	}
-	lo = sort.Search(nRows, func(i int) bool { return page[i*g.dims+sd] >= min })
-	hi = sort.Search(nRows, func(i int) bool { return page[i*g.dims+sd] > max })
+	return SortSpan(nRows, page[sd:], g.dims, min, max)
+}
+
+// SortSpan returns the row interval [lo, hi) of n rows, ascending on the
+// key keys[i*stride] of row i, whose keys can lie in [min, max]. It is the
+// one definition of a sort span, shared by resident pages and page stores
+// that search a decoded key column.
+func SortSpan(n int, keys []float64, stride int, min, max float64) (lo, hi int) {
+	lo = sort.Search(n, func(i int) bool { return keys[i*stride] >= min })
+	hi = sort.Search(n, func(i int) bool { return keys[i*stride] > max })
 	return lo, hi
 }
 

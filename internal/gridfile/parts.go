@@ -12,15 +12,29 @@ import (
 // row payload, and ExportParts hands an encoder the same pieces.
 
 // PageStore supplies the rows of main cell pages on demand. A store-backed
-// grid file holds no resident row payload: cellPage(c) delegates here, so
-// compressed snapshot pages can be decoded lazily into a bounded cache.
+// grid file holds no resident row payload: a scan asks the store for just
+// the sort span of each cell it visits, decoded into a buffer the scan
+// owns, so compressed snapshot pages are decoded straight into the scan
+// with no shared decoded-page state.
 type PageStore interface {
-	// CellPage returns cell c's main page, row-major, exactly
-	// offsets[c+1]-offsets[c] rows. The slice is read-only and must stay
-	// valid while the caller iterates it (implementations pin it for the
-	// duration via their cache). On an unreadable page the store records a
-	// sticky error on its side and returns an empty page.
-	CellPage(c int) []float64
+	// CellSpan decodes into buf the rows of cell c's main page (row-major,
+	// exactly offsets[c+1]-offsets[c] rows in all) that w selects, and
+	// returns them with the index of their first row in the page. The
+	// result aliases buf when it is large enough and a fresh slice
+	// otherwise; its capacity may be reused for the next call. On an
+	// unreadable page the store records a sticky error on its side and
+	// returns no rows.
+	CellSpan(c int, w SortWindow, buf []float64) (rows []float64, first int)
+}
+
+// SortWindow selects the rows of a page by their sort-dimension value:
+// the span SortSpan finds for [Min, Max], or every row when Whole is set
+// or the grid file has no sort dimension. Whole is a mode of its own
+// because no [Min, Max] window, not even [-Inf, +Inf], selects rows whose
+// sort key is NaN.
+type SortWindow struct {
+	Min, Max float64
+	Whole    bool
 }
 
 // Parts is the deconstructed state of a grid file. Slices may alias

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
+
+	"github.com/coax-index/coax/internal/gridfile"
 )
 
 // Per-cell page compression. Each grid cell's main page compresses
@@ -53,7 +55,7 @@ const (
 const maxPageExpand = 1 << 10
 
 // encodePage compresses one row-major page. The result always round-trips
-// bit-exactly through decodePage.
+// bit-exactly through decodeSpan.
 func encodePage(page []float64, rows, dims int) []byte {
 	rawSize := 5 + rows*dims*8
 	cols := make([][]byte, dims)
@@ -209,111 +211,180 @@ func (c *blobCursor) u64() (uint64, error) {
 	return binary.LittleEndian.Uint64(s), nil
 }
 
-// decodePage decompresses one cell blob into dst (len rows*dims,
-// row-major), verifying the blob CRC, exact consumption, and — when a sort
-// dimension is set — the page's sort invariant, so a corrupt page can
-// never silently desort a binary-searched cell.
-func decodePage(blob []byte, dst []float64, rows, dims, sortDim int) error {
+// column is one parsed column of a page blob: a raw column of f64 bit
+// patterns step bytes apart, or the base and packed words of a
+// frame-of-reference column.
+type column struct {
+	enc   byte
+	base  uint64
+	width int
+	step  int // raw columns: bytes between consecutive rows
+	raw   []byte
+}
+
+// parseColumn reads one column header of a columnar blob and claims its
+// payload bytes.
+func parseColumn(c *blobCursor, rows int) (column, error) {
+	enc, err := c.u8()
+	if err != nil {
+		return column{}, err
+	}
+	col := column{enc: enc, step: 8}
+	switch enc {
+	case encRawCol:
+		col.raw, err = c.take(rows * 8)
+		return col, err
+	case encIntFOR, encFloatXR:
+		if col.base, err = c.u64(); err != nil {
+			return column{}, err
+		}
+		w, err := c.u8()
+		if err != nil {
+			return column{}, err
+		}
+		if w > 64 {
+			return column{}, fmt.Errorf("%w: pack width %d", ErrPage, w)
+		}
+		col.width = int(w)
+		col.raw, err = c.take(packedBytes(rows, col.width))
+		return col, err
+	default:
+		return column{}, fmt.Errorf("%w: unknown column encoding %d", ErrPage, enc)
+	}
+}
+
+// decodeSpan decodes the rows of one cell blob that w selects into buf,
+// row-major, and returns them — aliasing buf when it is large enough — with
+// the index of their first row in the page. Whatever the window, it
+// verifies the blob CRC, that the column headers consume the blob exactly,
+// and — when a sort dimension is set — that the sort column is ascending,
+// so a corrupt page can never silently desort a binary-searched cell. The
+// sort column is decoded whole into buf to be checked and searched; of
+// every column only the selected rows are then unpacked.
+func decodeSpan(blob []byte, rows, dims, sortDim int, w gridfile.SortWindow, buf []float64) ([]float64, int, error) {
 	if len(blob) < 5 {
-		return fmt.Errorf("%w: blob of %d bytes", ErrPage, len(blob))
+		return nil, 0, fmt.Errorf("%w: blob of %d bytes", ErrPage, len(blob))
 	}
 	want := binary.LittleEndian.Uint32(blob)
 	if got := crc32.Checksum(blob[4:], castagnoli); got != want {
-		return fmt.Errorf("%w: page CRC %#08x, want %#08x", ErrPage, got, want)
+		return nil, 0, fmt.Errorf("%w: page CRC %#08x, want %#08x", ErrPage, got, want)
 	}
 	c := &blobCursor{b: blob, off: 4}
 	kind, err := c.u8()
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
+	cols := make([]column, 0, 16)
 	switch kind {
 	case pageRaw:
 		raw, err := c.take(rows * dims * 8)
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
-		for i := range dst[:rows*dims] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+		for d := 0; d < dims; d++ {
+			cols = append(cols, column{enc: encRawCol, step: dims * 8, raw: raw[d*8:]})
 		}
 	case pageColumnar:
 		for d := 0; d < dims; d++ {
-			if err := decodeColumn(c, dst, rows, dims, d); err != nil {
-				return err
+			col, err := parseColumn(c, rows)
+			if err != nil {
+				return nil, 0, err
 			}
+			cols = append(cols, col)
 		}
 	default:
-		return fmt.Errorf("%w: unknown page kind %d", ErrPage, kind)
+		return nil, 0, fmt.Errorf("%w: unknown page kind %d", ErrPage, kind)
 	}
 	if c.off != len(blob) {
-		return fmt.Errorf("%w: %d trailing blob bytes", ErrPage, len(blob)-c.off)
+		return nil, 0, fmt.Errorf("%w: %d trailing blob bytes", ErrPage, len(blob)-c.off)
 	}
+
+	lo, hi := 0, rows
 	if sortDim >= 0 {
+		buf = growScratch(buf, rows)
+		keys := buf[:rows]
+		cols[sortDim].unpack(0, rows, keys, 1)
 		for r := 1; r < rows; r++ {
-			if dst[r*dims+sortDim] < dst[(r-1)*dims+sortDim] {
-				return fmt.Errorf("%w: decoded page not sorted on dimension %d at row %d", ErrPage, sortDim, r)
+			if keys[r] < keys[r-1] {
+				return nil, 0, fmt.Errorf("%w: decoded page not sorted on dimension %d at row %d", ErrPage, sortDim, r)
 			}
 		}
+		if !w.Whole {
+			lo, hi = gridfile.SortSpan(rows, keys, 1, w.Min, w.Max)
+		}
 	}
-	return nil
+	// The keys are dead once the span is known: the rows overwrite them.
+	buf = growScratch(buf, (hi-lo)*dims)
+	out := buf[:(hi-lo)*dims]
+	if lo < hi {
+		for d := range cols {
+			cols[d].unpack(lo, hi, out[d:], dims)
+		}
+	}
+	return out, lo, nil
 }
 
-func decodeColumn(c *blobCursor, dst []float64, rows, dims, d int) error {
-	enc, err := c.u8()
-	if err != nil {
-		return err
+// growScratch returns buf, or a larger buffer when it cannot hold n
+// values. It doubles, so a scan meeting ever larger pages reallocates
+// only a few times.
+func growScratch(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n, max(n, 2*cap(buf)))
 	}
-	switch enc {
-	case encRawCol:
-		raw, err := c.take(rows * 8)
-		if err != nil {
-			return err
+	return buf
+}
+
+// unpack writes rows [lo, hi) of the column to dst[0], dst[stride], ….
+func (col *column) unpack(lo, hi int, dst []float64, stride int) {
+	i := 0
+	if col.enc == encRawCol {
+		for r := lo; r < hi; r++ {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(col.raw[r*col.step:]))
+			i += stride
 		}
-		for r := 0; r < rows; r++ {
-			dst[r*dims+d] = math.Float64frombits(binary.LittleEndian.Uint64(raw[r*8:]))
-		}
-		return nil
-	case encIntFOR, encFloatXR:
-		base, err := c.u64()
-		if err != nil {
-			return err
-		}
-		w, err := c.u8()
-		if err != nil {
-			return err
-		}
-		width := int(w)
-		if width > 64 {
-			return fmt.Errorf("%w: pack width %d", ErrPage, width)
-		}
-		raw, err := c.take(packedBytes(rows, width))
-		if err != nil {
-			return err
-		}
-		var mask uint64 = math.MaxUint64
-		if width < 64 {
-			mask = 1<<uint(width) - 1
-		}
-		word := func(i int) uint64 { return binary.LittleEndian.Uint64(raw[i*8:]) }
-		bit := 0
-		for r := 0; r < rows; r++ {
-			var v uint64
-			if width > 0 {
-				wi, off := bit>>6, uint(bit&63)
-				v = word(wi) >> off
-				if off+uint(width) > 64 {
-					v |= word(wi+1) << (64 - off)
-				}
-				v &= mask
-				bit += width
+		return
+	}
+	width, base, raw := col.width, col.base, col.raw
+	mask := uint64(1)<<width - 1 // all ones at width 64
+	r := lo
+	// A value of at most 56 bits lies inside the 8 bytes starting at its
+	// first byte, so one unaligned load reads it — for every row whose 8
+	// bytes end inside the packed words.
+	if width > 0 && width <= 56 && len(raw) >= 8 {
+		end := min(hi, ((len(raw)-8)*8+7)/width+1)
+		if col.enc == encIntFOR {
+			for ; r < end; r++ {
+				bit := r * width
+				v := binary.LittleEndian.Uint64(raw[bit>>3:]) >> (bit & 7) & mask
+				dst[i] = float64(int64(base + v))
+				i += stride
 			}
-			if enc == encIntFOR {
-				dst[r*dims+d] = float64(int64(base + v))
-			} else {
-				dst[r*dims+d] = math.Float64frombits(base ^ v)
+		} else {
+			for ; r < end; r++ {
+				bit := r * width
+				v := binary.LittleEndian.Uint64(raw[bit>>3:]) >> (bit & 7) & mask
+				dst[i] = math.Float64frombits(base ^ v)
+				i += stride
 			}
 		}
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown column encoding %d", ErrPage, enc)
+	}
+	// The last rows, width 0 and widths above 56 read whole packed words.
+	for ; r < hi; r++ {
+		var v uint64
+		if width > 0 {
+			bit := r * width
+			wi, off := bit>>6<<3, uint(bit&63)
+			v = binary.LittleEndian.Uint64(raw[wi:]) >> off
+			if off+uint(width) > 64 {
+				v |= binary.LittleEndian.Uint64(raw[wi+8:]) << (64 - off)
+			}
+			v &= mask
+		}
+		if col.enc == encIntFOR {
+			dst[i] = float64(int64(base + v))
+		} else {
+			dst[i] = math.Float64frombits(base ^ v)
+		}
+		i += stride
 	}
 }

@@ -15,7 +15,7 @@ import (
 // Options controls a v3 encode.
 type Options struct {
 	// Compress enables per-page columnar compression of grid data regions.
-	// Compressed pages decode lazily through a bounded LRU on open;
+	// Each scan decodes the sort spans it needs from compressed pages;
 	// uncompressed ones are served zero-copy from the mapping.
 	Compress bool
 }

@@ -3,6 +3,8 @@ package mmapsnap
 import (
 	"fmt"
 	"hash/crc32"
+
+	"github.com/coax-index/coax/internal/gridfile"
 )
 
 // SectionStat describes one v3 section for tooling: its frame, and for
@@ -142,13 +144,12 @@ func verifyGridPages(sec *gridSection) error {
 		if rows == 0 {
 			continue
 		}
-		if need := rows * sec.dims; cap(buf) < need {
-			buf = make([]float64, need)
-		}
 		blob := sec.dataB[pagedir[c]:pagedir[c+1]]
-		if err := decodePage(blob, buf[:rows*sec.dims], rows, sec.dims, sec.sortDim); err != nil {
+		page, _, err := decodeSpan(blob, rows, sec.dims, sec.sortDim, gridfile.SortWindow{Whole: true}, buf)
+		if err != nil {
 			return fmt.Errorf("cell %d: %w", c, err)
 		}
+		buf = page[:cap(page)]
 	}
 	return nil
 }

@@ -5,8 +5,9 @@
 // decoding the whole snapshot into heap. Optional per-page columnar
 // compression (delta + bit-packing for integer-valued columns,
 // frame-of-reference XOR packing for floats) trades the zero-copy alias
-// for lazy per-cell decompression into a small bounded LRU of decoded
-// pages.
+// for per-scan decompression: each scan decodes just the sort span of
+// every cell it visits into a buffer it owns, and no decoded page outlives
+// the scan.
 //
 // # Container layout (version 3)
 //

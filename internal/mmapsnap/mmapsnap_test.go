@@ -13,6 +13,7 @@ import (
 
 	"github.com/coax-index/coax/internal/core"
 	"github.com/coax-index/coax/internal/dataset"
+	"github.com/coax-index/coax/internal/gridfile"
 	"github.com/coax-index/coax/internal/index"
 	"github.com/coax-index/coax/internal/shard"
 	"github.com/coax-index/coax/internal/snapshot"
@@ -92,7 +93,7 @@ func TestRoundTripSingle(t *testing.T) {
 			if err := Verify(blob); err != nil {
 				t.Fatalf("kind=%v compress=%v: Verify: %v", kind, compress, err)
 			}
-			sn, err := OpenBytes(blob, OpenOptions{})
+			sn, err := OpenBytes(blob)
 			if err != nil {
 				t.Fatalf("kind=%v compress=%v: OpenBytes: %v", kind, compress, err)
 			}
@@ -128,7 +129,7 @@ func TestRoundTripSharded(t *testing.T) {
 		if err := Verify(blob); err != nil {
 			t.Fatalf("Verify: %v", err)
 		}
-		sn, err := OpenBytes(blob, OpenOptions{})
+		sn, err := OpenBytes(blob)
 		if err != nil {
 			t.Fatalf("OpenBytes: %v", err)
 		}
@@ -154,7 +155,7 @@ func TestMappedMutationAndReencode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sn, err := OpenBytes(blob, OpenOptions{})
+		sn, err := OpenBytes(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +212,7 @@ func TestOpenFileMapped(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	sn, err := OpenFile(path, OpenOptions{})
+	sn, err := OpenFile(path)
 	if err != nil {
 		t.Fatalf("OpenFile: %v", err)
 	}
@@ -246,9 +247,12 @@ func TestColcodecRoundTrip(t *testing.T) {
 			if len(blob) > 5+rows*dims*8 {
 				t.Fatalf("case %d rows %d: blob %d bytes exceeds raw bound %d", ci, rows, len(blob), 5+rows*dims*8)
 			}
-			out := make([]float64, rows*dims)
-			if err := decodePage(blob, out, rows, dims, -1); err != nil {
+			out, first, err := decodeSpan(blob, rows, dims, -1, gridfile.SortWindow{Whole: true}, nil)
+			if err != nil {
 				t.Fatalf("case %d rows %d: decode: %v", ci, rows, err)
+			}
+			if first != 0 || len(out) != len(page) {
+				t.Fatalf("case %d rows %d: decoded %d values from row %d, want %d from 0", ci, rows, len(out), first, len(page))
 			}
 			for i := range page {
 				if math.Float64bits(page[i]) != math.Float64bits(out[i]) {
@@ -276,15 +280,19 @@ func TestCompressionShrinksIntHeavyData(t *testing.T) {
 	t.Logf("plain %d bytes, compressed %d bytes (%.2fx)", len(plain), len(packed), float64(len(plain))/float64(len(packed)))
 }
 
-func TestPageLRUBounded(t *testing.T) {
-	tab := testTable(t, 8000)
+// TestCompressedScanAllocsFlat proves a scan of a compressed snapshot
+// decodes into scratch it reuses from page to page: an aggregate touching
+// hundreds of pages allocates about as much as one touching a single page,
+// and both answer exactly as the heap index does. Each measured run opens
+// the snapshot afresh, so no run can find pages an earlier one decoded.
+func TestCompressedScanAllocsFlat(t *testing.T) {
+	tab := testTable(t, 20000)
 	idx := buildIndex(t, tab, core.OutlierGrid)
 	blob, err := EncodeIndex(idx, Options{Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A tiny cache forces constant eviction; answers must stay identical.
-	sn, err := OpenBytes(blob, OpenOptions{PageCacheBytes: 4096})
+	sn, err := OpenBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +300,37 @@ func TestPageLRUBounded(t *testing.T) {
 	if err := sn.PageErr(); err != nil {
 		t.Fatalf("PageErr: %v", err)
 	}
+
+	aligned := alignedBuffer(len(blob))
+	copy(aligned, blob)
+	spec := index.AggSpec{Op: index.AggSum, Col: 3, Group: -1}
+	allocs := func(r index.Rect) (float64, int64) {
+		var rep core.ProbeReport
+		sn.Index().ExecAgg(r, index.Spec{}, index.NewAggState(spec), &rep)
+		return testing.AllocsPerRun(10, func() {
+			fresh, err := OpenBytes(aligned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh.Index().ExecAgg(r, index.Spec{}, index.NewAggState(spec), nil)
+		}), rep.Primary.Pages + rep.Outlier.Pages
+	}
+	narrow, narrowPages := allocs(index.Point(tab.Row(123)))
+	broad, broadPages := allocs(index.Full(tab.Dims()))
+	if narrowPages > 2 || broadPages < 100 {
+		t.Fatalf("rectangles touch %d and %d pages, want ≤ 2 and ≥ 100", narrowPages, broadPages)
+	}
+	t.Logf("open+ExecAgg allocs: %.0f over %d pages, %.0f over %d pages", narrow, narrowPages, broad, broadPages)
+	// The scratch grows by doubling to the largest page, so only a few
+	// allocations may separate the two.
+	if broad > narrow+16 {
+		t.Fatalf("scan over %d pages allocates %.0f, over %d pages %.0f: allocations grow with pages", broadPages, broad, narrowPages, narrow)
+	}
 }
 
 // TestConcurrentReaders hammers one compressed snapshot from many
-// goroutines through a deliberately tiny page cache, so decode races and
-// evictions overlap in-flight scans. Run with -race.
+// goroutines; every scan decodes into its own scratch, so nothing but the
+// error latch is shared between them. Run with -race.
 func TestConcurrentReaders(t *testing.T) {
 	tab := testTable(t, 5000)
 	idx := buildIndex(t, tab, core.OutlierGrid)
@@ -304,7 +338,7 @@ func TestConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sn, err := OpenBytes(blob, OpenOptions{PageCacheBytes: 8192})
+	sn, err := OpenBytes(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +378,7 @@ func TestCorruptionDetected(t *testing.T) {
 		}
 		// Truncations anywhere must error, never panic.
 		for _, n := range []int{0, 4, 11, 15, 16, headerSize + 8, len(blob) / 2, len(blob) - 1} {
-			if _, err := OpenBytes(blob[:n], OpenOptions{}); err == nil {
+			if _, err := OpenBytes(blob[:n]); err == nil {
 				t.Errorf("compress=%v: truncation to %d bytes opened", compress, n)
 			}
 		}
@@ -355,14 +389,26 @@ func TestCorruptionDetected(t *testing.T) {
 		if err := Verify(bad); err == nil {
 			t.Errorf("compress=%v: Verify accepted corrupt tail", compress)
 		}
+		// A grid header whose sort dimension lies outside the row must be
+		// rejected before any page decode indexes by it.
+		sec, err := parseGridSection(encodeGridSection(idx.Primary(), compress))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sd := range []int{-2, sec.dims} {
+			sec.sortDim = sd
+			if _, _, err := validateGridDir(sec); !errors.Is(err, ErrLayout) {
+				t.Errorf("compress=%v: sort dimension %d of %d dims: got %v, want ErrLayout", compress, sd, sec.dims, err)
+			}
+		}
 	}
 }
 
 func TestVersionMismatch(t *testing.T) {
-	if _, err := OpenBytes([]byte("COAXSNAPxxxx"), OpenOptions{}); !errors.Is(err, ErrVersion) {
+	if _, err := OpenBytes([]byte("COAXSNAPxxxx")); !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion, got %v", err)
 	}
-	if _, err := OpenBytes([]byte("NOTASNAPxxxx"), OpenOptions{}); !errors.Is(err, ErrBadMagic) {
+	if _, err := OpenBytes([]byte("NOTASNAPxxxx")); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("want ErrBadMagic, got %v", err)
 	}
 	// A v2 file must be rejected by mmapsnap with ErrVersion, not mangled.
@@ -372,7 +418,7 @@ func TestVersionMismatch(t *testing.T) {
 	if err := snapshot.Encode(&buf, idx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenBytes(buf.Bytes(), OpenOptions{}); !errors.Is(err, ErrVersion) {
+	if _, err := OpenBytes(buf.Bytes()); !errors.Is(err, ErrVersion) {
 		t.Fatalf("want ErrVersion for v2 file, got %v", err)
 	}
 }
